@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import classical
-from .errors import DomainError, UsageError
-from .report import CONVERGED, MAX_STEPS, RunReport, StepRecord
-from .schedules import QUANTUM, RelaxationSchedule, SelectionStrategy, relaxation_at, select_index
-from .system import COLUMNS_NORMALIZED, ROWS_NORMALIZED, LinearSystem, require_normalization
-
-ROW = "row"
-COLUMN = "column"
-UNIT_TOL = 1e-12
+from .encodings import _check_unit, embedding_factor
+from .errors import UsageError
+from .report import RunReport
+from .schedules import QUANTUM, RelaxationSchedule, SelectionStrategy, check_domain
+from .system import COLUMNS_NORMALIZED, LinearSystem, require_normalization
 
 
 @dataclass(frozen=True)
@@ -55,59 +53,54 @@ class BranchState:
         return self.delta * float(np.linalg.norm(self.r))
 
 
-def _check_quantum(value: float, k: int) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(value, QUANTUM, k)
-    return value
-
-
 def init_row_branch(x0) -> BranchState:
-    x0 = np.asarray(x0, dtype=float)
-    if abs(np.linalg.norm(x0) - 1.0) > UNIT_TOL:
-        raise UsageError(f"x0 must be a unit vector, got norm {np.linalg.norm(x0)!r}")
-    return BranchState(np.array(x0), v=1.0)
+    return BranchState(np.array(_check_unit(x0, "init_row_branch")), v=1.0)
 
 
 def init_column_branch(x0, system: LinearSystem) -> BranchState:
     require_normalization(system, COLUMNS_NORMALIZED, "init_column_branch")
-    x0 = np.asarray(x0, dtype=float)
-    if abs(np.linalg.norm(x0) - 1.0) > UNIT_TOL:
-        raise UsageError(f"x0 must be a unit vector, got norm {np.linalg.norm(x0)!r}")
+    x0 = _check_unit(x0, "init_column_branch")
     r0 = system.residual(x0)
-    r_norm = float(np.linalg.norm(r0))
-    if r_norm == 0.0:
-        delta = 1.0
-    elif abs(r_norm - 1.0) <= UNIT_TOL:
-        delta = 1.0
-    else:
-        delta = 1.0 / r_norm
+    delta = embedding_factor(float(np.linalg.norm(r0)))
     return BranchState(np.array(x0), v=1.0, r=r0, delta=delta)
 
 
 def row_branch_step(state: BranchState, system: LinearSystem, t: int, lam: float) -> BranchState:
     """x picks up the relaxed projection; v grows by the rhs entry in
     quadrature, keeping v_k^2 = v_0^2 + sum of b_{t_j}^2 exact."""
-    require_normalization(system, ROWS_NORMALIZED, "row_branch_step")
-    _check_quantum(lam, state.k)
-    row = system.matrix[t - 1]
-    b_t = float(system.rhs[t - 1])
-    x = state.x + lam * (b_t - float(np.dot(row, state.x))) * row
-    return BranchState(x, v=math.hypot(state.v, b_t), k=state.k + 1)
+    check_domain(lam, QUANTUM, state.k)
+    it = classical.kaczmarz_step(classical.RowIterate(state.x, state.k), system, t, lam)
+    return BranchState(it.x, v=math.hypot(state.v, system.rhs_entry(t)), k=it.k)
 
 
 def column_branch_step(state: BranchState, system: LinearSystem, t: int, omega: float) -> BranchState:
     """Coordinate update plus residual contraction; v advances by 1/delta
     (exactly k+1 after k steps when delta=1)."""
-    require_normalization(system, COLUMNS_NORMALIZED, "column_branch_step")
     if state.r is None:
         raise UsageError("column_branch_step needs a column-mode state (with residual)")
-    _check_quantum(omega, state.k)
-    col = system.matrix[:, t - 1]
-    correlation = float(np.dot(col, state.r))
-    x = np.array(state.x)
-    x[t - 1] += omega * correlation
-    r = state.r - omega * correlation * col
-    return BranchState(x, v=state.v + 1.0 / state.delta, k=state.k + 1, r=r, delta=state.delta)
+    check_domain(omega, QUANTUM, state.k)
+    it = classical.column_step(classical.ColumnIterate(state.x, state.r, state.k), system, t, omega)
+    return BranchState(it.x, v=state.v + 1.0 / state.delta, k=it.k, r=it.r, delta=state.delta)
+
+
+class _BranchTracker:
+    """Tracker for ``classical._drive``: the good branch is the classical
+    iterate over v, so only v and delta are kept."""
+
+    def __init__(self, mode: str, system: LinearSystem, x0: np.ndarray):
+        start = init_row_branch(x0) if mode == classical.ROW else init_column_branch(x0, system)
+        self.mode, self.system, self.v, self.delta = mode, system, start.v, start.delta
+
+    def advance(self, k: int, t: int, value: float) -> None:
+        check_domain(value, QUANTUM, k)
+        if self.mode == classical.ROW:
+            self.v = math.hypot(self.v, self.system.rhs_entry(t))
+        else:
+            self.v += 1.0 / self.delta
+
+    def observe(self, x: np.ndarray, x_norm: float):
+        amplitude = x_norm / self.v
+        return amplitude, amplitude**2, 1.0
 
 
 def run_branch(
@@ -120,56 +113,7 @@ def run_branch(
     tol: float = 1e-10,
 ) -> RunReport:
     """Compressed run with the same record schema as the statevector runs."""
-    if mode not in (ROW, COLUMN):
-        raise UsageError(f"mode must be {ROW!r} or {COLUMN!r}, got {mode!r}")
-    x_star = classical.exact_solution(system)
-    report = RunReport()
-    t_used, value_used = None, None
-
-    if mode == ROW:
-        require_normalization(system, ROWS_NORMALIZED, "row-mode branch run")
-        state = init_row_branch(x0)
-        for k in range(max_steps + 1):
-            residual = system.residual(state.x)
-            report.append(_branch_record(k, t_used, value_used, state, residual, x_star))
-            report.final_x = state.x
-            if np.linalg.norm(residual) <= tol:
-                report.status = CONVERGED
-                return report
-            if k == max_steps:
-                break
-            t_used = select_index(strategy, k, system.n, residual=residual)
-            value_used = relaxation_at(schedule, k)
-            state = row_branch_step(state, system, t_used, value_used)
-    else:
-        state = init_column_branch(x0, system)
-        for k in range(max_steps + 1):
-            report.append(_branch_record(k, t_used, value_used, state, state.r, x_star))
-            report.final_x = state.x
-            if np.linalg.norm(state.r) <= tol:
-                report.status = CONVERGED
-                return report
-            if k == max_steps:
-                break
-            correlations = system.matrix.T @ state.r
-            t_used = select_index(strategy, k, system.n, residual=correlations)
-            value_used = relaxation_at(schedule, k)
-            state = column_branch_step(state, system, t_used, value_used)
-
-    report.status = MAX_STEPS
-    return report
-
-
-def _branch_record(k, t, relaxation, state: BranchState, residual, x_star) -> StepRecord:
-    error = None if x_star is None else float(np.linalg.norm(state.x - x_star))
-    return StepRecord(
-        k=k,
-        t=t,
-        relaxation=relaxation,
-        x_norm=float(np.linalg.norm(state.x)),
-        residual_norm=float(np.linalg.norm(residual)),
-        error_norm=error,
-        amplitude=state.amplitude,
-        success_probability=state.success_probability,
-        fidelity=1.0,
+    report, _ = classical._drive(
+        system, x0, schedule, strategy, max_steps, mode, tol, partial(_BranchTracker, mode)
     )
+    return report

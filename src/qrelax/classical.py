@@ -1,9 +1,11 @@
 """Exact classical relaxed row and column iterations.
 
 This module is the ground-truth oracle: both simulators are validated
-against the trajectories produced here. The steps use the simplified
-unit-norm update formulas, so they insist on normalized systems instead
-of dividing by row/column norms on the fly.
+against the trajectories produced here, and both run on its one loop,
+``_drive``, as trackers of the quantum state beside the classical
+iterate. The steps use the simplified unit-norm update formulas, so they
+insist on normalized systems instead of dividing by row/column norms on
+the fly.
 """
 
 from __future__ import annotations
@@ -105,57 +107,71 @@ def run_classical(
     residual and, when the system is non-singular, the error against the
     directly-solved x*.
     """
+    report, _ = _drive(system, x0, schedule, strategy, max_steps, mode, tol)
+    return report
+
+
+def _drive(system, x0, schedule, strategy, max_steps, mode, tol, track=None):
+    """The run loop shared by every engine; returns (report, tracker).
+
+    The loop owns the classical iterate, the residual, the greedy
+    context (r in row mode, A^T r in column mode), index selection, the
+    convergence test and the records. ``track(system, x0)`` builds an
+    optional tracker for a quantum engine: ``advance(k, t, value)`` runs
+    ahead of each classical step, and ``observe(x, x_norm)`` returns the
+    (amplitude, success probability, fidelity) of each record.
+    """
     if mode not in (ROW, COLUMN):
         raise UsageError(f"mode must be {ROW!r} or {COLUMN!r}, got {mode!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.n,):
         raise UsageError(f"x0 has shape {x0.shape}, expected ({system.n},)")
+    if not np.all(np.isfinite(x0)):
+        raise UsageError(f"x0 has non-finite entries: {x0.tolist()}")
+    kind = ROWS_NORMALIZED if mode == ROW else COLUMNS_NORMALIZED
+    require_normalization(system, kind, f"{mode}-mode run")
+    tracker = None if track is None else track(system, x0)
     x_star = exact_solution(system)
+    if mode == ROW:
+        it, step = RowIterate(np.array(x0)), kaczmarz_step
+    else:
+        it, step = ColumnIterate(np.array(x0), system.residual(x0)), column_step
 
     report = RunReport()
     t_used, value_used = None, None
-    if mode == ROW:
-        require_normalization(system, ROWS_NORMALIZED, "row-mode run")
-        row_it = RowIterate(np.array(x0))
-        for k in range(max_steps + 1):
-            residual = system.residual(row_it.x)
-            report.append(_record(k, t_used, value_used, row_it.x, residual, x_star))
-            report.final_x = row_it.x
-            if np.linalg.norm(residual) <= tol:
-                report.status = CONVERGED
-                return report
-            if k == max_steps:
-                break
-            t_used = select_index(strategy, k, system.n, residual=residual)
-            value_used = relaxation_at(schedule, k)
-            row_it = kaczmarz_step(row_it, system, t_used, value_used)
-    else:
-        require_normalization(system, COLUMNS_NORMALIZED, "column-mode run")
-        col_it = ColumnIterate(np.array(x0), system.residual(x0))
-        for k in range(max_steps + 1):
-            report.append(_record(k, t_used, value_used, col_it.x, col_it.r, x_star))
-            report.final_x = col_it.x
-            if np.linalg.norm(col_it.r) <= tol:
-                report.status = CONVERGED
-                return report
-            if k == max_steps:
-                break
-            correlations = system.matrix.T @ col_it.r
-            t_used = select_index(strategy, k, system.n, residual=correlations)
-            value_used = relaxation_at(schedule, k)
-            col_it = column_step(col_it, system, t_used, value_used)
+    for k in range(max_steps + 1):
+        residual = system.residual(it.x) if mode == ROW else it.r
+        report.append(_record(k, t_used, value_used, it.x, residual, x_star, tracker))
+        report.final_x = it.x
+        if np.linalg.norm(residual) <= tol:
+            report.status = CONVERGED
+            return report, tracker
+        if k == max_steps:
+            break
+        context = residual if mode == ROW else system.matrix.T @ residual
+        t_used = select_index(strategy, k, system.n, residual=context)
+        value_used = relaxation_at(schedule, k)
+        if tracker is not None:
+            tracker.advance(k, t_used, value_used)
+        it = step(it, system, t_used, value_used)
 
     report.status = MAX_STEPS
-    return report
+    return report, tracker
 
 
-def _record(k, t, relaxation, x, residual, x_star) -> StepRecord:
+def _record(k, t, relaxation, x, residual, x_star, tracker) -> StepRecord:
+    x_norm = float(np.linalg.norm(x))
     error = None if x_star is None else float(np.linalg.norm(x - x_star))
+    observed = (None, None, None) if tracker is None else tracker.observe(x, x_norm)
+    amplitude, probability, fidelity = observed
     return StepRecord(
         k=k,
         t=t,
         relaxation=relaxation,
-        x_norm=float(np.linalg.norm(x)),
+        x_norm=x_norm,
         residual_norm=float(np.linalg.norm(residual)),
         error_norm=error,
+        amplitude=amplitude,
+        success_probability=probability,
+        fidelity=fidelity,
     )

@@ -7,7 +7,6 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,13 +124,10 @@ def _build_strategy(text: str, seed: int) -> SelectionStrategy:
 
 
 def _prepare(config: RunConfig):
+    engine, _, direction = config.mode.partition("-")
     raw = load_system(config.system_source, config.system_format, rhs=config.rhs_source)
-    if config.mode.endswith("row"):
-        system = normalize_rows(raw)
-    else:
-        system = normalize_columns(raw)
-    domain = CLASSICAL if config.mode.startswith("classical") else QUANTUM
-    schedule = _build_schedule(config.schedule, domain)
+    system = normalize_rows(raw) if direction == classical.ROW else normalize_columns(raw)
+    schedule = _build_schedule(config.schedule, CLASSICAL if engine == "classical" else QUANTUM)
     strategy = _build_strategy(config.strategy, config.seed)
     x0 = _resolve_x0(config.x0, system.n)
     return system, x0, schedule, strategy
@@ -139,40 +135,17 @@ def _prepare(config: RunConfig):
 
 def _execute(config: RunConfig, system, x0, schedule, strategy):
     """Run the configured engine; returns (report, summary extras)."""
-    extras = {}
-    if config.mode == "classical-row":
-        report = classical.run_classical(
-            system, x0, schedule, strategy, config.steps, mode="row", tol=config.tol
-        )
-    elif config.mode == "classical-column":
-        report = classical.run_classical(
-            system, x0, schedule, strategy, config.steps, mode="column", tol=config.tol
-        )
-    elif config.mode == "branch-row":
-        report = branch.run_branch(
-            system, x0, schedule, strategy, config.steps, mode="row", tol=config.tol
-        )
-        extras["ancillas"] = 3 * report.steps_taken + 2
-    elif config.mode == "branch-column":
-        report = branch.run_branch(
-            system, x0, schedule, strategy, config.steps, mode="column", tol=config.tol
-        )
-        extras["ancillas"] = 2 * (report.steps_taken + 1)
-    elif config.mode == "sim-row":
-        report, state = statevector.run_algorithm1(
-            system, x0, schedule, strategy, config.steps,
-            tol=config.tol, mem_limit=config.mem_limit,
-        )
-        extras["ancillas"] = state.layout.ancillas
-        extras["v"] = state.v
-    else:
-        report, x_state, _ = statevector.run_algorithm2(
-            system, x0, schedule, strategy, config.steps,
-            tol=config.tol, mem_limit=config.mem_limit,
-        )
-        extras["ancillas"] = x_state.layout.ancillas
-        extras["v"] = x_state.v
-    return report, extras
+    engine, _, direction = config.mode.partition("-")
+    args = (system, x0, schedule, strategy, config.steps)
+    if engine == "classical":
+        return classical.run_classical(*args, direction, tol=config.tol), {}
+    if engine == "branch":
+        report = branch.run_branch(*args, direction, tol=config.tol)
+        k = report.steps_taken
+        return report, {"ancillas": 3 * k + 2 if direction == classical.ROW else 2 * (k + 1)}
+    run = statevector.run_algorithm1 if direction == classical.ROW else statevector.run_algorithm2
+    report, state, *_ = run(*args, tol=config.tol, mem_limit=config.mem_limit)
+    return report, {"ancillas": state.layout.ancillas, "v": state.v}
 
 
 def _summary_lines(config: RunConfig, system: LinearSystem, report: RunReport, extras) -> list[str]:
@@ -388,26 +361,21 @@ def cmd_verify(trials: int = 1000, seed: int = 0, stdout=None) -> int:
 
 
 def cmd_sweep(config: RunConfig, grid: list[float], stdout=None) -> int:
-    """One solver run per relaxation value, fanned out across threads;
-    rows are merged back in grid order."""
+    """One solver run per relaxation value, in grid order."""
     stdout = stdout or sys.stdout
-    system, x0, _, strategy = _prepare(config)
-    domain = CLASSICAL if config.mode.startswith("classical") else QUANTUM
-
-    def one(value: float):
-        schedule = RelaxationSchedule.constant(value, domain)
+    system, x0, base, strategy = _prepare(config)
+    rows = []
+    for value in grid:
+        schedule = RelaxationSchedule.constant(value, base.domain)
         report, _ = _execute(config, system, x0, schedule, strategy)
         final = report.final
-        return {
+        rows.append({
             "relaxation": value,
             "status": report.status,
             "steps": report.steps_taken,
             "final_residual": final.residual_norm,
             "final_success_probability": final.success_probability,
-        }
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(grid)))) as pool:
-        rows = list(pool.map(one, grid))
+        })
 
     header = "relaxation,status,steps,final_residual,final_success_probability"
     lines = [header] + [

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .schedules import QUANTUM
-
-UNIT_TOL = 1e-12
+from .errors import UsageError
+from .schedules import QUANTUM, check_domain
+from .system import UNIT_TOL
 
 LABEL_ROW_U = "row-U"
 LABEL_COLUMN_U = "column-residual-U"
@@ -70,23 +69,25 @@ class BlockUnitary:
         return "\n".join(lines) + "\n"
 
 
-def extract_block(unitary: BlockUnitary, i: int, j: int) -> np.ndarray:
-    return unitary.block(i, j)
-
-
-def _check_parameter(value: float) -> float:
-    if not (0.0 <= value <= 1.0) or not np.isfinite(value):
-        raise DomainError(value, QUANTUM)
-    return float(value)
-
-
-def _check_unit(vec, who: str) -> np.ndarray:
+def _check_unit(vec, who: str, hint: str = "") -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise UsageError(f"{who} needs a 1-d vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-        raise UsageError(f"{who} needs a unit vector, got norm {np.linalg.norm(v)!r}")
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise UsageError(f"{who} needs a unit vector, got norm {norm!r}{hint}")
     return v
+
+
+def embedding_factor(r_norm: float) -> float:
+    """Scale delta that embeds a residual of norm ``r_norm`` in a register.
+
+    A unit (or zero) residual embeds directly with delta=1; otherwise
+    delta = 1/||r|| puts amplitude exactly 1 on the good branch.
+    """
+    if r_norm == 0.0 or abs(r_norm - 1.0) <= UNIT_TOL:
+        return 1.0
+    return 1.0 / r_norm
 
 
 def _reflection_grid(p: np.ndarray, value: float) -> np.ndarray:
@@ -120,7 +121,7 @@ def row_unitary(a, lam: float) -> BlockUnitary:
     reduces to the unrelaxed projection encoding.
     """
     a = _check_unit(a, "row_unitary")
-    lam = _check_parameter(lam)
+    lam = check_domain(lam, QUANTUM)
     return BlockUnitary(_reflection_grid(np.outer(a, a), lam), a.size, (4, 4), LABEL_ROW_U)
 
 
@@ -128,7 +129,7 @@ def column_residual_unitary(c, omega: float) -> BlockUnitary:
     """Same construction as ``row_unitary`` along a matrix column; its
     |00> block applies the residual contraction I - omega * c c^T."""
     c = _check_unit(c, "column_residual_unitary")
-    omega = _check_parameter(omega)
+    omega = check_domain(omega, QUANTUM)
     return BlockUnitary(
         _reflection_grid(np.outer(c, c), omega), c.size, (4, 4), LABEL_COLUMN_U
     )
@@ -137,7 +138,7 @@ def column_residual_unitary(c, omega: float) -> BlockUnitary:
 def column_update_core(t: int, omega: float, n: int) -> BlockUnitary:
     """The 3n-by-3n symmetric involution routing omega*<t|.|t> amplitude
     between the last-three ancilla blocks (P = e_t e_t^T)."""
-    omega = _check_parameter(omega)
+    omega = check_domain(omega, QUANTUM)
     if not 1 <= t <= n:
         raise UsageError(f"index t={t} outside 1..{n}")
     p = np.zeros((n, n))

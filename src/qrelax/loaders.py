@@ -170,10 +170,18 @@ def _parse_rhs(text: str) -> np.ndarray:
             s for s in (ln.strip() for ln in text.splitlines()[1:])
             if s and not s.startswith("%")
         ]
-        rows, cols = (int(tok) for tok in lines[0].split()[:2])
+        if not lines:
+            raise ParseError("rhs has no size line")
+        size = lines[0].split()
+        if len(size) != 2 or not all(tok.isdigit() for tok in size):
+            raise ParseError(f"rhs size line needs 'rows cols', got {lines[0]!r}")
+        rows, cols = int(size[0]), int(size[1])
         if cols != 1:
             raise ParseError(f"rhs must be a column vector, got {rows}x{cols}")
-        return np.array([_float(tok, i + 2) for i, tok in enumerate(lines[1:])])
+        values = [_float(tok, i + 2) for i, tok in enumerate(lines[1:])]
+        if len(values) != rows:
+            raise ParseError(f"rhs size line promises {rows} values, found {len(values)}")
+        return np.array(values)
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.strip()

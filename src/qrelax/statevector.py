@@ -22,24 +22,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import classical
 from .encodings import (
     GivensParams,
+    _check_unit,
     column_residual_unitary,
     column_update_unitary,
+    embedding_factor,
     givens,
     row_unitary,
     state_prep_col,
 )
 from .errors import InvariantViolation, ResourceError, UsageError
-from .report import CONVERGED, MAX_STEPS, RunReport, StepRecord
-from .schedules import RelaxationSchedule, SelectionStrategy, relaxation_at, select_index
+from .schedules import QUANTUM, RelaxationSchedule, SelectionStrategy, check_domain
 from .system import COLUMNS_NORMALIZED, ROWS_NORMALIZED, LinearSystem, require_normalization
 
-UNIT_TOL = 1e-12
 NORM_TOL = 1e-10
 DEFAULT_MEM_LIMIT = 2 * 1024**3  # bytes of statevector, the largest transient included
 _FLOAT_BYTES = 8
@@ -186,12 +187,9 @@ def init_row_state(x0) -> SimState:
     Non-unit starts are not representable as a bare data register; either
     normalize x0 or use the branch simulator's embedding.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if abs(np.linalg.norm(x0) - 1.0) > UNIT_TOL:
-        raise UsageError(
-            f"x0 must be a unit vector (norm {np.linalg.norm(x0)!r}); "
-            "normalize it or track a scaled iterate with the branch simulator"
-        )
+    x0 = _check_unit(
+        x0, "init_row_state", "; normalize it or track a scaled iterate with the branch simulator"
+    )
     n = x0.size
     vec = np.zeros(4 * n)
     vec[:n] = x0
@@ -269,9 +267,7 @@ def init_column_states(x0, system: LinearSystem) -> ColumnInit:
     system and the residual register is not constructed.
     """
     require_normalization(system, COLUMNS_NORMALIZED, "init_column_states")
-    x0 = np.asarray(x0, dtype=float)
-    if abs(np.linalg.norm(x0) - 1.0) > UNIT_TOL:
-        raise UsageError(f"x0 must be a unit vector (norm {np.linalg.norm(x0)!r})")
+    x0 = _check_unit(x0, "init_column_states")
     n = x0.size
     x_vec = np.zeros(4 * n)
     x_vec[:n] = x0
@@ -281,7 +277,7 @@ def init_column_states(x0, system: LinearSystem) -> ColumnInit:
     r0_norm = float(np.linalg.norm(r0))
     if r0_norm == 0.0:
         return ColumnInit(x_state, None, 1.0, r0, converged=True)
-    delta = 1.0 if abs(r0_norm - 1.0) <= UNIT_TOL else 1.0 / r0_norm
+    delta = embedding_factor(r0_norm)
     r_vec = np.zeros(4 * n)
     r_vec[:n] = delta * r0
     r_state = SimState(r_vec, RegisterLayout(2, n), k=0, v=1.0)
@@ -358,6 +354,59 @@ def _guard_memory(k: int, peak_ancillas: int, n: int, mem_limit: int) -> None:
         raise ResourceError(k, required, mem_limit)
 
 
+class _DenseTracker:
+    """Tracker for ``classical._drive`` that steps a dense iterate
+    register ``state`` ahead of the classical shadow iterate.
+
+    Convergence is detected on the shadow (repeatedly measuring the
+    simulated state is not modeled). Records carry the good-branch
+    amplitude, the success probability of post-selecting all-zero
+    ancillas, and the fidelity between the good branch and the shadow
+    direction.
+    """
+
+    state: SimState
+
+    def observe(self, x: np.ndarray, x_norm: float):
+        amplitude, direction = extract_good_branch(self.state)
+        if amplitude == 0.0 or x_norm == 0.0:
+            fidelity = 1.0 if amplitude == x_norm else 0.0
+        else:
+            fidelity = float(abs(direction @ x) / x_norm)
+        return amplitude, amplitude * amplitude, fidelity
+
+
+class _RowTracker(_DenseTracker):
+    def __init__(self, system: LinearSystem, x0: np.ndarray, mem_limit: int):
+        self.system, self.mem_limit = system, mem_limit
+        self.state = assert_normalized(init_row_state(x0))
+
+    def advance(self, k: int, t: int, lam: float) -> None:
+        check_domain(lam, QUANTUM, k)
+        _guard_memory(k, 3 * k + 5, self.system.n, self.mem_limit)
+        # Rebinding self.state drops each input as soon as its successor exists.
+        self.state = assert_normalized(prepare_Y(self.state, self.system, t))
+        self.state = assert_normalized(apply_row_iteration(self.state, self.system, t, lam))
+
+
+class _ColumnTracker(_DenseTracker):
+    def __init__(self, system: LinearSystem, x0: np.ndarray, mem_limit: int):
+        self.system, self.mem_limit = system, mem_limit
+        init = init_column_states(x0, system)
+        self.state, self.r_state, self.delta = init.x_state, init.r_state, init.delta
+
+    def advance(self, k: int, t: int, omega: float) -> None:
+        if self.r_state is None:
+            raise UsageError("x0 already solves the system; the residual register is empty")
+        check_domain(omega, QUANTUM, k)
+        _guard_memory(k, 2 * k + 4, self.system.n, self.mem_limit)
+        self.state, self.r_state = apply_column_iteration(
+            self.state, self.r_state, self.system, t, omega, self.delta
+        )
+        assert_normalized(self.state)
+        assert_normalized(self.r_state)
+
+
 def run_algorithm1(
     system: LinearSystem,
     x0,
@@ -367,39 +416,12 @@ def run_algorithm1(
     tol: float = 1e-10,
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
-    """Full row-method simulation; returns (report, final state).
-
-    Convergence is detected on the classically-tracked shadow iterate
-    (repeatedly measuring the simulated state is not modeled). Records
-    carry the good-branch amplitude, the success probability of
-    post-selecting all-zero ancillas, and the fidelity between the good
-    branch and the shadow direction.
-    """
-    require_normalization(system, ROWS_NORMALIZED, "run_algorithm1")
-    state = assert_normalized(init_row_state(x0))
-    shadow = classical.RowIterate(np.array(x0, dtype=float))
-    x_star = classical.exact_solution(system)
-
-    report = RunReport()
-    t_used, lam_used = None, None
-    for k in range(max_steps + 1):
-        residual = system.residual(shadow.x)
-        report.append(_sim_record(k, t_used, lam_used, shadow.x, residual, x_star, state))
-        report.final_x = shadow.x
-        if np.linalg.norm(residual) <= tol:
-            report.status = CONVERGED
-            return report, state
-        if k == max_steps:
-            break
-        _guard_memory(k, 3 * k + 5, system.n, mem_limit)
-        t_used = select_index(strategy, k, system.n, residual=residual)
-        lam_used = relaxation_at(schedule, k)
-        state = assert_normalized(prepare_Y(state, system, t_used))
-        state = assert_normalized(apply_row_iteration(state, system, t_used, lam_used))
-        shadow = classical.kaczmarz_step(shadow, system, t_used, lam_used)
-
-    report.status = MAX_STEPS
-    return report, state
+    """Full row-method simulation; returns (report, final state)."""
+    report, tracker = classical._drive(
+        system, x0, schedule, strategy, max_steps, classical.ROW, tol,
+        partial(_RowTracker, mem_limit=mem_limit),
+    )
+    return report, tracker.state
 
 
 def run_algorithm2(
@@ -412,53 +434,8 @@ def run_algorithm2(
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
     """Full column-method simulation; returns (report, x state, r state)."""
-    require_normalization(system, COLUMNS_NORMALIZED, "run_algorithm2")
-    init = init_column_states(x0, system)
-    x_state, r_state, delta = init.x_state, init.r_state, init.delta
-    shadow = classical.ColumnIterate(np.array(x0, dtype=float), np.array(init.residual0))
-    x_star = classical.exact_solution(system)
-
-    report = RunReport()
-    t_used, omega_used = None, None
-    for k in range(max_steps + 1):
-        report.append(_sim_record(k, t_used, omega_used, shadow.x, shadow.r, x_star, x_state))
-        report.final_x = shadow.x
-        if np.linalg.norm(shadow.r) <= tol or r_state is None:
-            report.status = CONVERGED
-            return report, x_state, r_state
-        if k == max_steps:
-            break
-        _guard_memory(k, 2 * k + 4, system.n, mem_limit)
-        correlations = system.matrix.T @ shadow.r
-        t_used = select_index(strategy, k, system.n, residual=correlations)
-        omega_used = relaxation_at(schedule, k)
-        x_state, r_state = apply_column_iteration(
-            x_state, r_state, system, t_used, omega_used, delta
-        )
-        assert_normalized(x_state)
-        assert_normalized(r_state)
-        shadow = classical.column_step(shadow, system, t_used, omega_used)
-
-    report.status = MAX_STEPS
-    return report, x_state, r_state
-
-
-def _sim_record(k, t, relaxation, shadow_x, residual, x_star, state: SimState) -> StepRecord:
-    amplitude, direction = extract_good_branch(state)
-    shadow_norm = float(np.linalg.norm(shadow_x))
-    if amplitude == 0.0 or shadow_norm == 0.0:
-        fidelity = 1.0 if amplitude == shadow_norm else 0.0
-    else:
-        fidelity = float(abs(direction @ shadow_x) / shadow_norm)
-    error = None if x_star is None else float(np.linalg.norm(shadow_x - x_star))
-    return StepRecord(
-        k=k,
-        t=t,
-        relaxation=relaxation,
-        x_norm=shadow_norm,
-        residual_norm=float(np.linalg.norm(residual)),
-        error_norm=error,
-        amplitude=amplitude,
-        success_probability=amplitude * amplitude,
-        fidelity=fidelity,
+    report, tracker = classical._drive(
+        system, x0, schedule, strategy, max_steps, classical.COLUMN, tol,
+        partial(_ColumnTracker, mem_limit=mem_limit),
     )
+    return report, tracker.state, tracker.r_state

@@ -53,6 +53,8 @@ class LinearSystem:
             )
         if a.shape[0] == 0:
             raise DimensionError("system must have at least one equation")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise UsageError("system has non-finite (nan or inf) entries")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "rhs", b)
         if self.scale is not None:

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from helpers import random_consistent
 from qrelax import cli
 from qrelax.report import RECORD_FIELDS
@@ -247,3 +249,19 @@ def test_record_schema_is_stable(tmp_path):
         record = json.loads(line)
         assert tuple(record.keys()) == RECORD_FIELDS
         assert record["success_probability"] is not None
+
+
+NON_FINITE = {
+    "nan-matrix": ["--system", "1,nan; 0,1 | 1,0"],
+    "inf-rhs": ["--system", "1,0; 0,1 | 1,inf"],
+    **{f"nan-x0-{mode}": ["--system", "1,0; 0,1 | 1,0", "--x0", "nan,0", "--mode", mode]
+       for mode in cli.MODES},
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_solve_non_finite_input_exits_one(argv, capsys):
+    rc = cli.main(["solve", "--format", "inline", *argv])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err

@@ -256,7 +256,7 @@ def test_verify_unitary_reports():
 
 def test_extract_block_bounds(rng):
     built = enc.row_unitary(random_unit(rng, 2), 0.5)
-    assert enc.extract_block(built, 1, 1).shape == (2, 2)
+    assert built.block(1, 1).shape == (2, 2)
     with pytest.raises(UsageError):
         built.block(0, 1)
     with pytest.raises(UsageError):

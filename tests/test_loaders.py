@@ -147,6 +147,19 @@ def test_matrix_market_wrong_entry_count(tmp_path):
         load_system(str(mtx), "matrixmarket", rhs=str(rhs))
 
 
+@pytest.mark.parametrize("rhs_text", [
+    "%%MatrixMarket matrix array real general\n",
+    "%%MatrixMarket matrix array real general\n2 1\n1.0\n",
+], ids=["header-only", "fewer-values-than-size"])
+def test_matrix_market_rhs_must_match_its_size_line(tmp_path, rhs_text):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n")
+    rhs = tmp_path / "b.mtx"
+    rhs.write_text(rhs_text)
+    with pytest.raises(ParseError):
+        load_system(str(mtx), "matrixmarket", rhs=str(rhs))
+
+
 def test_matrix_market_non_square(tmp_path):
     mtx = tmp_path / "a.mtx"
     mtx.write_text("%%MatrixMarket matrix coordinate real general\n3 2 1\n1 1 1.0\n")
