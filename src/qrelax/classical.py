@@ -10,14 +10,16 @@ the fly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, QrelaxError, UsageError
 from .report import CONVERGED, MAX_STEPS, RunReport, StepRecord
 from .schedules import (
     CLASSICAL,
+    GREEDY_RESIDUAL,
     RelaxationSchedule,
     SelectionStrategy,
     relaxation_at,
@@ -91,6 +93,21 @@ def exact_solution(system: LinearSystem):
     return x
 
 
+def _solution_of(system: LinearSystem):
+    """``exact_solution(system)``, solved once per system and kept on it.
+
+    The system is frozen with read-only arrays, so the cached x* (or None
+    when singular) cannot go stale; it is made read-only as well.
+    """
+    cache = system.__dict__
+    if "_x_star" not in cache:
+        x_star = exact_solution(system)
+        if x_star is not None:
+            x_star.setflags(write=False)
+        cache["_x_star"] = x_star
+    return cache["_x_star"]
+
+
 def run_classical(
     system: LinearSystem,
     x0: np.ndarray,
@@ -115,11 +132,14 @@ def _drive(system, x0, schedule, strategy, max_steps, mode, tol, track=None):
     """The run loop shared by every engine; returns (report, tracker).
 
     The loop owns the classical iterate, the residual, the greedy
-    context (r in row mode, A^T r in column mode), index selection, the
-    convergence test and the records. ``track(system, x0)`` builds an
-    optional tracker for a quantum engine: ``advance(k, t, value)`` runs
-    ahead of each classical step, and ``observe(x, x_norm)`` returns the
-    (amplitude, success probability, fidelity) of each record.
+    context (r in row mode, A^T r in column mode; built only for greedy
+    selection, the one rule that reads it), index selection, the
+    convergence test and the records. x* comes from ``_solution_of``, so
+    it is solved once per system, not once per run. ``track(system, x0)``
+    builds an optional tracker for a quantum engine: ``advance(k, t,
+    value)`` runs ahead of each classical step, and ``observe(x,
+    x_norm)`` returns the (amplitude, success probability, fidelity) of
+    each record.
     """
     if mode not in (ROW, COLUMN):
         raise UsageError(f"mode must be {ROW!r} or {COLUMN!r}, got {mode!r}")
@@ -131,7 +151,8 @@ def _drive(system, x0, schedule, strategy, max_steps, mode, tol, track=None):
     kind = ROWS_NORMALIZED if mode == ROW else COLUMNS_NORMALIZED
     require_normalization(system, kind, f"{mode}-mode run")
     tracker = None if track is None else track(system, x0)
-    x_star = exact_solution(system)
+    x_star = _solution_of(system)
+    greedy = strategy.variant == GREEDY_RESIDUAL
     if mode == ROW:
         it, step = RowIterate(np.array(x0)), kaczmarz_step
     else:
@@ -141,14 +162,19 @@ def _drive(system, x0, schedule, strategy, max_steps, mode, tol, track=None):
     t_used, value_used = None, None
     for k in range(max_steps + 1):
         residual = system.residual(it.x) if mode == ROW else it.r
-        report.append(_record(k, t_used, value_used, it.x, residual, x_star, tracker))
+        record = _record(k, t_used, value_used, it.x, residual, x_star, tracker)
+        if not (math.isfinite(record.x_norm) and math.isfinite(record.residual_norm)):
+            _require_finite(k, it.x, residual)
+        report.append(record)
         report.final_x = it.x
-        if np.linalg.norm(residual) <= tol:
+        if record.residual_norm <= tol:
             report.status = CONVERGED
             return report, tracker
         if k == max_steps:
             break
-        context = residual if mode == ROW else system.matrix.T @ residual
+        context = None
+        if greedy:
+            context = residual if mode == ROW else system.matrix.T @ residual
         t_used = select_index(strategy, k, system.n, residual=context)
         value_used = relaxation_at(schedule, k)
         if tracker is not None:
@@ -157,6 +183,21 @@ def _drive(system, x0, schedule, strategy, max_steps, mode, tol, track=None):
 
     report.status = MAX_STEPS
     return report, tracker
+
+
+def _require_finite(k, x, residual):
+    """Stop a run whose iterate or residual overflowed to inf or nan.
+
+    Called only when a record's norm is not finite; a finite vector with
+    entries above about 1e154 also has an infinite norm, so the entries
+    themselves decide.
+    """
+    for name, v in (("iterate", x), ("residual", residual)):
+        if not np.all(np.isfinite(v)):
+            raise QrelaxError(
+                f"{name} became non-finite at step k={k} (overflow); "
+                "lower the relaxation or rescale the system"
+            )
 
 
 def _record(k, t, relaxation, x, residual, x_star, tracker) -> StepRecord:

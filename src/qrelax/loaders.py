@@ -47,6 +47,13 @@ def _float(token: str, line: int) -> float:
         raise ParseError(f"not a number: {token!r}", line) from None
 
 
+def _int(token: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"not an integer: {token!r}", line) from None
+
+
 def _parse_csv(text: str) -> LinearSystem:
     """n rows of n comma-separated reals, then one final row for b."""
     rows = []
@@ -122,29 +129,42 @@ def _parse_matrix_market(text: str) -> np.ndarray:
     size_line, size_text = body[0]
     size = size_text.split()
 
+    if len(size) != (3 if layout == "coordinate" else 2):
+        shape = "rows cols nnz" if layout == "coordinate" else "rows cols"
+        raise ParseError(f"{layout} size line needs '{shape}'", size_line)
+    counts = [_int(tok, size_line) for tok in size]
+    if any(c < 0 for c in counts):
+        raise ParseError(f"negative count on size line: {size_text!r}", size_line)
+    rows, cols = counts[:2]
+    if rows != cols:
+        raise DimensionError(f"matrix is {rows}x{cols}, must be square")
+
     if layout == "coordinate":
-        if len(size) != 3:
-            raise ParseError("coordinate size line needs 'rows cols nnz'", size_line)
-        rows, cols, nnz = (int(tok) for tok in size)
+        nnz = counts[2]
         entries = body[1:]
         if len(entries) != nnz:
             raise ParseError(f"expected {nnz} entries, found {len(entries)}", size_line)
         a = np.zeros((rows, cols))
+        seen = {}
         for lineno, entry in entries:
             toks = entry.split()
             if len(toks) != 3:
                 raise ParseError(f"expected 'i j value', got {entry!r}", lineno)
-            i, j = int(toks[0]), int(toks[1])
+            i, j = _int(toks[0], lineno), _int(toks[1], lineno)
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise ParseError(f"index ({i},{j}) out of range", lineno)
             value = _float(toks[2], lineno)
-            a[i - 1, j - 1] = value
+            positions = [(i, j)]
             if symmetry == "symmetric" and i != j:
-                a[j - 1, i - 1] = value
+                positions.append((j, i))
+            for p, q in positions:
+                if (p, q) in seen:
+                    raise ParseError(
+                        f"entry ({p},{q}) already given on line {seen[p, q]}", lineno
+                    )
+                seen[p, q] = lineno
+                a[p - 1, q - 1] = value
     else:
-        if len(size) != 2:
-            raise ParseError("array size line needs 'rows cols'", size_line)
-        rows, cols = (int(tok) for tok in size)
         values = [_float(entry, lineno) for lineno, entry in body[1:]]
         expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
         if len(values) != expected:
@@ -157,9 +177,6 @@ def _parse_matrix_market(text: str) -> np.ndarray:
             for j in range(cols):
                 for i in range(j, rows):
                     a[i, j] = a[j, i] = next(it)
-
-    if rows != cols:
-        raise DimensionError(f"matrix is {rows}x{cols}, must be square")
     return a
 
 

@@ -114,7 +114,8 @@ def select_index(strategy: SelectionStrategy, k: int, n: int, residual=None) -> 
     ``residual`` is the context vector for the greedy rule: the per-row
     residual in row mode, the per-column correlations in column mode.
     Random selection is a pure function of (seed, k), so runs replay
-    identically and can be shared across threads.
+    identically. Only the greedy rule reads ``residual``; the others
+    ignore it, and run loops pass None for them.
     """
     if k < 0:
         raise UsageError(f"step index k={k} must be non-negative")

@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 
 from helpers import random_consistent, random_unit
 from qrelax import classical
-from qrelax.errors import DomainError, UsageError
+from qrelax.errors import DomainError, QrelaxError, UsageError
 from qrelax.report import CONVERGED
 from qrelax.schedules import RelaxationSchedule, SelectionStrategy
-from qrelax.system import LinearSystem, normalize_columns, normalize_rows
+from qrelax.system import ROWS_NORMALIZED, LinearSystem, normalize_columns, normalize_rows
 
 
 def brute_force_eliminate(a, b):
@@ -251,3 +251,56 @@ def test_relaxed_steps_reduce_to_plain_projections_at_one(rng):
         plain_r = it.r - np.outer(c, c) @ it.r / (c @ c)
         assert np.max(np.abs(relaxed.x - plain_x)) <= 1e-12
         assert np.max(np.abs(relaxed.r - plain_r)) <= 1e-12
+
+
+def test_exact_solution_is_solved_once_per_system(monkeypatch, rng):
+    from qrelax import branch
+
+    calls = []
+    solve = classical.exact_solution
+
+    def counting(system):
+        calls.append(system)
+        return solve(system)
+
+    monkeypatch.setattr(classical, "exact_solution", counting)
+    system = normalize_rows(random_consistent(rng, 4)[0])
+    x0 = random_unit(rng, 4)
+    schedule = RelaxationSchedule.constant(0.5)
+    for strategy in (SelectionStrategy.cyclic(), SelectionStrategy.greedy_residual()):
+        classical.run_classical(system, x0, schedule, strategy, 10, "row")
+    report = branch.run_branch(system, x0, schedule, SelectionStrategy.cyclic(), 10, "row")
+    assert len(calls) == 1
+    x_star = classical._solution_of(system)
+    assert not x_star.flags.writeable
+    assert report.final.error_norm == float(np.linalg.norm(report.final_x - x_star))
+
+    singular = normalize_rows(LinearSystem(np.ones((2, 2)), np.array([1.0, 2.0])))
+    for _ in range(2):
+        report = classical.run_classical(
+            singular, np.zeros(2), schedule, SelectionStrategy.cyclic(), 3, "row"
+        )
+        assert report.final.error_norm is None
+    assert len(calls) == 2
+
+
+def test_non_finite_iterate_names_its_step():
+    system = LinearSystem(np.eye(2), np.array([1.5e308, 0.0]), ROWS_NORMALIZED)
+    with pytest.raises(QrelaxError, match="k=1"), np.errstate(over="ignore", invalid="ignore"):
+        classical.run_classical(
+            system, np.array([0.0, 1.0]), RelaxationSchedule.constant(2.0),
+            SelectionStrategy.cyclic(), 4, "row",
+        )
+
+
+def test_huge_finite_iterate_runs_on():
+    # entries above ~1e154 give an infinite norm while every entry is finite
+    system = LinearSystem(np.eye(2), np.array([1.5e308, 1.5e308]), ROWS_NORMALIZED)
+    with np.errstate(over="ignore"):
+        report = classical.run_classical(
+            system, np.zeros(2), RelaxationSchedule.constant(1.0),
+            SelectionStrategy.cyclic(), 4, "row",
+        )
+    assert report.status == CONVERGED
+    assert report.records[0].residual_norm == math.inf
+    assert report.records[2].x_norm == math.inf

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from helpers import random_consistent
@@ -265,3 +266,28 @@ def test_solve_non_finite_input_exits_one(argv, capsys):
     assert rc == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert "non-finite" in err and "Traceback" not in err
+
+
+def test_solve_matrixmarket_bad_size_line_exits_one(tmp_path, capsys):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text("%%MatrixMarket matrix array real general\n2 x\n1\n0\n0\n1\n")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1\n0\n")
+    rc = cli.main([
+        "solve", "--system", str(mtx), "--format", "matrixmarket", "--rhs", str(rhs),
+    ])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "line 2" in err and "Traceback" not in err
+
+
+def test_solve_overflowing_iterate_exits_one(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main([
+            "solve", "--system", "1,0; 0,1 | 1.5e308,0", "--format", "inline",
+            "--mode", "classical-row", "--x0", "e2", "--schedule", "constant:2",
+            "--strategy", "cyclic", "--steps", "4",
+        ])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "non-finite at step k=1" in err and "Traceback" not in err

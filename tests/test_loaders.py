@@ -175,3 +175,33 @@ def test_values_read_exactly_as_given(tmp_path):
     path.write_text("0.1234567890123456789,2\n3,4\n5,6\n")
     sys_ = load_system(str(path), "csv")
     assert sys_.matrix[0, 0] == float("0.1234567890123456789")
+
+
+
+@pytest.mark.parametrize("matrix_text, line", [
+    ("%%MatrixMarket matrix coordinate real general\n2 x 2\n1 1 1.0\n2 2 1.0\n", 2),
+    ("%%MatrixMarket matrix array real general\n2 x\n1\n0\n0\n1\n", 2),
+    ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 y 1.0\n", 4),
+], ids=["coordinate-size", "array-size", "coordinate-index"])
+def test_matrix_market_non_integer_token_names_line(tmp_path, matrix_text, line):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(matrix_text)
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1\n0\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_system(str(mtx), "matrixmarket", rhs=str(rhs))
+    assert excinfo.value.line == line
+
+
+@pytest.mark.parametrize("symmetry, entries", [
+    ("general", "1 1 1.0\n2 2 1.0\n1 1 5.0\n"),
+    ("symmetric", "1 1 1.0\n2 1 0.5\n1 2 0.5\n"),
+], ids=["repeated", "mirrored"])
+def test_matrix_market_duplicate_entry_is_rejected(tmp_path, symmetry, entries):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 3\n{entries}")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1\n0\n")
+    with pytest.raises(ParseError, match="already given on line") as excinfo:
+        load_system(str(mtx), "matrixmarket", rhs=str(rhs))
+    assert excinfo.value.line == 5
