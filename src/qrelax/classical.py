@@ -128,6 +128,8 @@ def run_classical(
     return report
 
 
+# _require_finite reports overflow; numpy's warnings would only precede it.
+@np.errstate(over="ignore", invalid="ignore")
 def _drive(system, x0, schedule, strategy, max_steps, mode, tol, track=None):
     """The run loop shared by every engine; returns (report, tracker).
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import branch, classical, statevector, worked_examples
 from .encodings import (
+    _check_unit,
     column_residual_unitary,
     column_update_unitary,
     row_unitary,
@@ -130,6 +131,8 @@ def _prepare(config: RunConfig):
     schedule = _build_schedule(config.schedule, CLASSICAL if engine == "classical" else QUANTUM)
     strategy = _build_strategy(config.strategy, config.seed)
     x0 = _resolve_x0(config.x0, system.n)
+    if engine != "classical":
+        _check_unit(x0, f"--x0 in {config.mode} mode")
     return system, x0, schedule, strategy
 
 
@@ -141,8 +144,7 @@ def _execute(config: RunConfig, system, x0, schedule, strategy):
         return classical.run_classical(*args, direction, tol=config.tol), {}
     if engine == "branch":
         report = branch.run_branch(*args, direction, tol=config.tol)
-        k = report.steps_taken
-        return report, {"ancillas": 3 * k + 2 if direction == classical.ROW else 2 * (k + 1)}
+        return report, {"ancillas": statevector.ancillas(direction, report.steps_taken)}
     run = statevector.run_algorithm1 if direction == classical.ROW else statevector.run_algorithm2
     report, state, *_ = run(*args, tol=config.tol, mem_limit=config.mem_limit)
     return report, {"ancillas": state.layout.ancillas, "v": state.v}

@@ -69,13 +69,15 @@ class BlockUnitary:
         return "\n".join(lines) + "\n"
 
 
-def _check_unit(vec, who: str, hint: str = "") -> np.ndarray:
+def _check_unit(vec, who: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise UsageError(f"{who} needs a 1-d vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
+    if not np.all(np.isfinite(v)):
+        raise UsageError(f"{who} has non-finite entries: {v.tolist()}")
+    norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= UNIT_TOL:
-        raise UsageError(f"{who} needs a unit vector, got norm {norm!r}{hint}")
+        raise UsageError(f"{who} needs a unit vector, got norm {norm!r}; normalize it")
     return v
 
 

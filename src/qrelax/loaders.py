@@ -40,11 +40,11 @@ def _read(path) -> str:
         return fh.read()
 
 
-def _float(token: str, line: int) -> float:
+def _float(token: str, line: int | None, part: str = "") -> float:
     try:
         return float(token)
     except ValueError:
-        raise ParseError(f"not a number: {token!r}", line) from None
+        raise ParseError(f"{part}not a number: {token!r}", line) from None
 
 
 def _int(token: str, line: int) -> int:
@@ -86,11 +86,16 @@ def _parse_inline(text: str) -> LinearSystem:
     """
     if "|" not in text:
         raise ParseError("inline system needs '|' separating the matrix from b")
+    # Inline text has no lines, so a bad token is named by its part.
     left, _, right = text.partition("|")
     matrix_rows = []
-    for i, chunk in enumerate(r for r in left.split(";") if r.strip()):
-        matrix_rows.append([_float(tok.strip(), i + 1) for tok in chunk.split(",")])
-    b = [_float(tok.strip(), 0) for tok in right.split(",") if tok.strip()]
+    for i, chunk in enumerate((r for r in left.split(";") if r.strip()), start=1):
+        cells = enumerate(chunk.split(","), start=1)
+        matrix_rows.append(
+            [_float(c.strip(), None, f"matrix row {i}, entry {j}: ") for j, c in cells]
+        )
+    cells = enumerate((c for c in right.split(",") if c.strip()), start=1)
+    b = [_float(c.strip(), None, f"rhs entry {j}: ") for j, c in cells]
     if not matrix_rows:
         raise ParseError("inline system has an empty matrix part")
     width = len(matrix_rows[0])

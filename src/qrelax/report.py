@@ -9,7 +9,6 @@ from .errors import UsageError
 
 CONVERGED = "converged"
 MAX_STEPS = "max-steps"
-ERROR = "error"
 
 # Stable key order for line-delimited output.
 RECORD_FIELDS = (
@@ -58,7 +57,6 @@ class RunReport:
 
     records: list[StepRecord] = field(default_factory=list)
     status: str = MAX_STEPS
-    message: str = ""
     final_x: object = None  # np.ndarray | None
 
     def append(self, record: StepRecord) -> None:

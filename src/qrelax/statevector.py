@@ -13,9 +13,12 @@ register.
 
 The row algorithm grows three ancillas per iteration (m = 3k+2 after k
 iterations); the column algorithm grows two per iteration on each of its
-registers (m = 2(k+1)). The good branch is the all-zero ancilla
-component; it carries ||x_k||/v_k times the unit iterate, where v is the
-bookkeeping denominator tracked alongside the state.
+registers (m = 2(k+1)); ``ancillas`` holds that rule. Each iteration
+seats a fresh ancilla pair next to the data register and moves the used
+pair to the front; ``_park`` does this in one strided copy. The good
+branch is the all-zero ancilla component; it carries ||x_k||/v_k times
+the unit iterate, where v is the bookkeeping denominator tracked
+alongside the state.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ from .system import COLUMNS_NORMALIZED, ROWS_NORMALIZED, LinearSystem, require_n
 NORM_TOL = 1e-10
 DEFAULT_MEM_LIMIT = 2 * 1024**3  # bytes of statevector, the largest transient included
 _FLOAT_BYTES = 8
+
+
+def ancillas(direction: str, k: int) -> int:
+    """Ancillas after k iterations: 3k+2 in row mode, 2(k+1) per column register."""
+    if direction not in (classical.ROW, classical.COLUMN):
+        raise UsageError(f"direction must be 'row' or 'column', got {direction!r}")
+    return 3 * k + 2 if direction == classical.ROW else 2 * (k + 1)
 
 
 @dataclass(frozen=True)
@@ -102,15 +112,14 @@ def _swap_qubits(vec: np.ndarray, m: int, n: int, i: int, j: int) -> np.ndarray:
     """Exchange ancilla qubits i and j (1-based)."""
     if not (1 <= i <= m and 1 <= j <= m):
         raise UsageError(f"swap ({i},{j}) outside 1..{m}")
-    if i == j:
-        return vec
     tensor = vec.reshape((2,) * m + (n,))
     return np.swapaxes(tensor, i - 1, j - 1).reshape(-1)
 
 
-def _apply_tail_operator(vec: np.ndarray, n: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a 4n-by-4n operator on (last two ancillas) tensor (data)."""
-    out = vec.reshape((-1, 4 * n)) @ mat.T
+def _apply_tail_operator(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` on the trailing factors its width spans: 4n-by-4n on
+    (last two ancillas) tensor (data), n-by-n on the data register."""
+    out = vec.reshape((-1, mat.shape[0])) @ mat.T
     return out.reshape(-1)
 
 
@@ -120,16 +129,17 @@ def _apply_last_qubit(vec: np.ndarray, n: int, mat2: np.ndarray) -> np.ndarray:
     return np.einsum("ab,xbd->xad", mat2, tensor).reshape(-1)
 
 
-def _apply_data_operator(vec: np.ndarray, n: int, mat: np.ndarray) -> np.ndarray:
-    out = vec.reshape((-1, n)) @ mat.T
+def _park(n: int, parts: dict[int, np.ndarray]) -> np.ndarray:
+    """Map equal-size m-ancilla vectors ``{slot: vec}`` to m+2 ancillas.
+
+    Equals prepending two qubits in |slot> (qubit 1 the high bit) to each
+    vec, summing, then SWAP(1, m+1) and SWAP(2, m+2).
+    """
+    size = next(iter(parts.values())).size
+    out = np.zeros((4, size // (4 * n), 4, n))
+    for slot, vec in parts.items():
+        out[:, :, slot, :] = vec.reshape((-1, 4, n)).transpose(1, 0, 2)
     return out.reshape(-1)
-
-
-def _prepend_zero_qubits(vec: np.ndarray, count: int) -> np.ndarray:
-    # New leading qubits in |0> put the old vector in the first block.
-    out = np.zeros((1 << count) * vec.size)
-    out[: vec.size] = vec
-    return out
 
 
 def assert_normalized(state: SimState, tol: float = NORM_TOL) -> SimState:
@@ -181,19 +191,15 @@ def measure_ancillas(state: SimState, seed=None, shots: int = 1) -> MeasurementR
 # --- row algorithm ----------------------------------------------------------
 
 
-def init_row_state(x0) -> SimState:
-    """|00> tensor x0 with v=1; x0 must be a unit vector.
+def _initial_state(data: np.ndarray) -> SimState:
+    vec = np.zeros(4 * data.size)
+    vec[: data.size] = data
+    return SimState(vec, RegisterLayout(2, data.size), k=0, v=1.0)
 
-    Non-unit starts are not representable as a bare data register; either
-    normalize x0 or use the branch simulator's embedding.
-    """
-    x0 = _check_unit(
-        x0, "init_row_state", "; normalize it or track a scaled iterate with the branch simulator"
-    )
-    n = x0.size
-    vec = np.zeros(4 * n)
-    vec[:n] = x0
-    return SimState(vec, RegisterLayout(2, n), k=0, v=1.0)
+
+def init_row_state(x0) -> SimState:
+    """|00> tensor x0 with v=1; x0 must be a unit vector."""
+    return _initial_state(_check_unit(x0, "init_row_state"))
 
 
 def row_mixing(v: float, b_t: float):
@@ -211,8 +217,8 @@ def prepare_Y(state: SimState, system: LinearSystem, t: int) -> SimState:
     """Prepend one qubit: beta|0>|X_k> + gamma|1>|0...0>|a_t>."""
     require_normalization(system, ROWS_NORMALIZED, "prepare_Y")
     m, n = state.layout.ancillas, state.layout.data_dim
-    if m != 3 * state.k + 2:
-        raise UsageError(f"expected an iterate state with {3 * state.k + 2} ancillas, got {m}")
+    if m != ancillas(classical.ROW, state.k):
+        raise UsageError(f"iterate state at k={state.k} has {m} ancillas, expected 3k+2")
     beta, gamma = row_mixing(state.v, system.rhs_entry(t))
     vec = np.zeros(2 * state.vec.size)
     vec[: state.vec.size] = beta * state.vec
@@ -223,27 +229,24 @@ def prepare_Y(state: SimState, system: LinearSystem, t: int) -> SimState:
 def apply_row_iteration(state: SimState, system: LinearSystem, t: int, lam: float) -> SimState:
     """Execute one full row iteration on a prepared superposition.
 
-    SWAP(1, 3k+2) routes the fresh-row branch onto the |10> ancilla pair,
-    the block operator turns the pair into the relaxed update, and two
-    final SWAPs park the used ancillas at the front, leaving a valid
-    iterate state with 3(k+1)+2 ancillas.
+    SWAP(1, m-1) routes the fresh-row branch onto the |10> ancilla pair,
+    the block operator turns the pair into the relaxed update, and
+    ``_park`` moves the used ancillas to the front beside a fresh pair,
+    leaving a valid iterate state with 3(k+1)+2 ancillas.
     """
     require_normalization(system, ROWS_NORMALIZED, "apply_row_iteration")
     k = state.k
     m, n = state.layout.ancillas, state.layout.data_dim
-    if m != 3 * k + 3:
-        raise UsageError(f"expected a prepared state with {3 * k + 3} ancillas, got {m}")
+    if m != ancillas(classical.ROW, k) + 1:
+        raise UsageError(f"prepared state at k={k} has {m} ancillas, expected 3k+3")
     operator = row_unitary(system.row(t), lam)
 
-    vec = _swap_qubits(state.vec, m, n, 1, 3 * k + 2)
-    vec = _apply_tail_operator(vec, n, operator.matrix)
-    vec = _prepend_zero_qubits(vec, 2)
-    m += 2
-    vec = _swap_qubits(vec, m, n, 1, 3 * (k + 1) + 1)
-    vec = _swap_qubits(vec, m, n, 2, 3 * (k + 1) + 2)
+    vec = _swap_qubits(state.vec, m, n, 1, m - 1)
+    vec = _apply_tail_operator(vec, operator.matrix)
+    vec = _park(n, {0: vec})
 
     v_next = math.hypot(state.v, system.rhs_entry(t))
-    return SimState(vec, RegisterLayout(m, n), k + 1, v_next)
+    return SimState(vec, RegisterLayout(m + 2, n), k + 1, v_next)
 
 
 # --- column algorithm -------------------------------------------------------
@@ -268,20 +271,14 @@ def init_column_states(x0, system: LinearSystem) -> ColumnInit:
     """
     require_normalization(system, COLUMNS_NORMALIZED, "init_column_states")
     x0 = _check_unit(x0, "init_column_states")
-    n = x0.size
-    x_vec = np.zeros(4 * n)
-    x_vec[:n] = x0
-    x_state = SimState(x_vec, RegisterLayout(2, n), k=0, v=1.0)
+    x_state = _initial_state(x0)
 
     r0 = system.residual(x0)
     r0_norm = float(np.linalg.norm(r0))
     if r0_norm == 0.0:
         return ColumnInit(x_state, None, 1.0, r0, converged=True)
     delta = embedding_factor(r0_norm)
-    r_vec = np.zeros(4 * n)
-    r_vec[:n] = delta * r0
-    r_state = SimState(r_vec, RegisterLayout(2, n), k=0, v=1.0)
-    return ColumnInit(x_state, r_state, delta, r0, converged=False)
+    return ColumnInit(x_state, _initial_state(delta * r0), delta, r0, converged=False)
 
 
 def column_mixing(v: float, delta: float):
@@ -308,41 +305,31 @@ def apply_column_iteration(
 ):
     """One column iteration: returns (new iterate state, new residual state).
 
-    The iterate register mixes with the prep-rotated residual register,
-    two SWAPs bring the fresh ancilla pair next to the data register, the
-    routing operator moves omega*(c_t.r) onto the partner branch, and the
-    plane rotation folds it into the good branch. The residual register
-    is contracted independently by its own block operator.
+    The iterate register mixes with the prep-rotated residual register on
+    a fresh ancilla pair that ``_park`` seats next to the data register,
+    the routing operator moves omega*(c_t.r) onto the partner branch, and
+    the plane rotation folds it into the good branch. The residual
+    register is contracted independently by its own block operator.
     """
     require_normalization(system, COLUMNS_NORMALIZED, "apply_column_iteration")
     k = x_state.k
     if r_state.k != k:
         raise UsageError(f"registers out of step: x at k={k}, r at k={r_state.k}")
     m, n = x_state.layout.ancillas, x_state.layout.data_dim
-    if m != 2 * (k + 1) or r_state.layout.ancillas != 2 * (k + 1):
-        raise UsageError(f"expected 2(k+1)={2 * (k + 1)} ancillas on both registers")
+    if not m == r_state.layout.ancillas == ancillas(classical.COLUMN, k):
+        raise UsageError(f"expected 2(k+1) ancillas on both registers at k={k}")
     column = system.column(t)
     beta, gamma = column_mixing(x_state.v, delta)
 
-    prep = state_prep_col(column, t)
-    rotated_r = _apply_data_operator(r_state.vec, n, prep.matrix)
-    size = x_state.vec.size
-    psi = np.zeros(4 * size)
-    psi[:size] = beta * x_state.vec  # |00> branch
-    psi[2 * size : 3 * size] = gamma * rotated_r  # |10> branch
-    m_psi = m + 2
-    psi = _swap_qubits(psi, m_psi, n, 1, 2 * (k + 1) + 1)
-    psi = _swap_qubits(psi, m_psi, n, 2, 2 * (k + 1) + 2)
-    psi = _apply_tail_operator(psi, n, column_update_unitary(t, omega, n).matrix)
+    rotated_r = _apply_tail_operator(r_state.vec, state_prep_col(column, t).matrix)
+    # |00> carries the iterate, |10> the rotated residual.
+    psi = _park(n, {0: beta * x_state.vec, 2: gamma * rotated_r})
+    psi = _apply_tail_operator(psi, column_update_unitary(t, omega, n).matrix)
     psi = _apply_last_qubit(psi, n, givens(GivensParams(beta, gamma)).matrix)
-    x_next = SimState(psi, RegisterLayout(m_psi, n), k + 1, x_state.v + 1.0 / delta)
+    x_next = SimState(psi, RegisterLayout(m + 2, n), k + 1, x_state.v + 1.0 / delta)
 
-    r_vec = _apply_tail_operator(r_state.vec, n, column_residual_unitary(column, omega).matrix)
-    r_vec = _prepend_zero_qubits(r_vec, 2)
-    r_vec = _swap_qubits(r_vec, m + 2, n, 1, 2 * k + 3)
-    r_vec = _swap_qubits(r_vec, m + 2, n, 2, 2 * k + 4)
-    r_next = SimState(r_vec, RegisterLayout(m + 2, n), k + 1, 1.0)
-    return x_next, r_next
+    r_vec = _apply_tail_operator(r_state.vec, column_residual_unitary(column, omega).matrix)
+    return x_next, SimState(_park(n, {0: r_vec}), RegisterLayout(m + 2, n), k + 1, 1.0)
 
 
 # --- full runs ----------------------------------------------------------------
@@ -383,7 +370,7 @@ class _RowTracker(_DenseTracker):
 
     def advance(self, k: int, t: int, lam: float) -> None:
         check_domain(lam, QUANTUM, k)
-        _guard_memory(k, 3 * k + 5, self.system.n, self.mem_limit)
+        _guard_memory(k, ancillas(classical.ROW, k + 1), self.system.n, self.mem_limit)
         # Rebinding self.state drops each input as soon as its successor exists.
         self.state = assert_normalized(prepare_Y(self.state, self.system, t))
         self.state = assert_normalized(apply_row_iteration(self.state, self.system, t, lam))
@@ -399,7 +386,7 @@ class _ColumnTracker(_DenseTracker):
         if self.r_state is None:
             raise UsageError("x0 already solves the system; the residual register is empty")
         check_domain(omega, QUANTUM, k)
-        _guard_memory(k, 2 * k + 4, self.system.n, self.mem_limit)
+        _guard_memory(k, ancillas(classical.COLUMN, k + 1), self.system.n, self.mem_limit)
         self.state, self.r_state = apply_column_iteration(
             self.state, self.r_state, self.system, t, omega, self.delta
         )

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,7 +283,9 @@ def test_solve_matrixmarket_bad_size_line_exits_one(tmp_path, capsys):
 
 
 def test_solve_overflowing_iterate_exits_one(capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The run's own numpy overflow warnings must not reach the user.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = cli.main([
             "solve", "--system", "1,0; 0,1 | 1.5e308,0", "--format", "inline",
             "--mode", "classical-row", "--x0", "e2", "--schedule", "constant:2",
@@ -290,4 +293,17 @@ def test_solve_overflowing_iterate_exits_one(capsys):
         ])
     assert rc == cli.EXIT_ERROR
     err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert "non-finite at step k=1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["sim-row", "sim-column", "branch-column"])
+def test_solve_non_unit_x0_names_the_flag(mode, capsys):
+    rc = cli.main([
+        "solve", "--system", "1,0; 0,1 | 1,0", "--format", "inline",
+        "--mode", mode, "--x0", "2,0", "--steps", "2",
+    ])
+    assert rc == cli.EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: --x0 in {mode} mode needs a unit vector, got norm 2.0; normalize it\n"
+    )

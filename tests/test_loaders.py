@@ -77,6 +77,18 @@ def test_inline_errors():
         load_system("1,x;0,1|1,0", "inline")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("1,0;0,1|1,x", "rhs entry 2"),
+    ("1,0;x,1|1,0", "matrix row 2, entry 1"),
+    ("1,x;0,1|1,0", "matrix row 1, entry 2"),
+])
+def test_inline_errors_name_the_part(text, where):
+    with pytest.raises(ParseError) as excinfo:
+        load_system(text, "inline")
+    assert str(excinfo.value) == f"{where}: not a number: 'x'"
+    assert excinfo.value.line is None
+
+
 def test_matrix_market_coordinate(tmp_path):
     mtx = tmp_path / "a.mtx"
     mtx.write_text(

@@ -337,7 +337,7 @@ def test_register_accounting_row_and_column(rng):
 
     state = sv.init_row_state(x0)
     for k in range(3):
-        assert state.layout.ancillas == 3 * k + 2
+        assert state.layout.ancillas == 3 * k + 2 == sv.ancillas(classical.ROW, k)
         t = int(rng.integers(1, 4))
         state = sv.apply_row_iteration(sv.prepare_Y(state, sys_r, t), sys_r, t, 0.7)
     assert state.layout.ancillas == 3 * 3 + 2
@@ -346,13 +346,15 @@ def test_register_accounting_row_and_column(rng):
     init = sv.init_column_states(x0, sys_c)
     x_state, r_state = init.x_state, init.r_state
     for k in range(3):
-        assert x_state.layout.ancillas == 2 * (k + 1)
+        assert x_state.layout.ancillas == 2 * (k + 1) == sv.ancillas(classical.COLUMN, k)
         assert r_state.layout.ancillas == 2 * (k + 1)
         t = int(rng.integers(1, 4))
         x_state, r_state = sv.apply_column_iteration(
             x_state, r_state, sys_c, t, 0.6, init.delta
         )
     assert x_state.layout.ancillas == 2 * 4
+    with pytest.raises(UsageError):
+        sv.ancillas("diagonal", 0)
 
 
 def test_v_recursion_row(rng):
@@ -483,7 +485,7 @@ def test_tail_and_last_qubit_operators_match_kron_oracle(rng):
     vec = rng.normal(size=(1 << m) * n)
     four_block = rng.normal(size=(4 * n, 4 * n))
     dense = np.kron(np.eye(1 << (m - 2)), four_block)
-    assert_allclose(sv._apply_tail_operator(vec, n, four_block), dense @ vec, atol=1e-13)
+    assert_allclose(sv._apply_tail_operator(vec, four_block), dense @ vec, atol=1e-13)
 
     single = rng.normal(size=(2, 2))
     dense = np.kron(np.eye(1 << (m - 1)), np.kron(single, np.eye(n)))
@@ -491,7 +493,29 @@ def test_tail_and_last_qubit_operators_match_kron_oracle(rng):
 
     data_op = rng.normal(size=(n, n))
     dense = np.kron(np.eye(1 << m), data_op)
-    assert_allclose(sv._apply_data_operator(vec, n, data_op), dense @ vec, atol=1e-13)
+    assert_allclose(sv._apply_tail_operator(vec, data_op), dense @ vec, atol=1e-13)
+
+
+def _pad_then_swap(n, m, parts):
+    # The routing _park replaces: prepend two qubits in |slot>, then
+    # SWAP(1, m+1) and SWAP(2, m+2) on the m+2 ancillas.
+    size = next(iter(parts.values())).size
+    padded = np.zeros(4 * size)
+    for slot, vec in parts.items():
+        padded[slot * size : (slot + 1) * size] = vec
+    padded = sv._swap_qubits(padded, m + 2, n, 1, m + 1)
+    return sv._swap_qubits(padded, m + 2, n, 2, m + 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 3])
+def test_park_equals_pad_then_two_swaps(rng, m, n):
+    vec, other = rng.normal(size=(2, (1 << m) * n))
+    cases = [{slot: vec} for slot in range(4)] + [{0: vec, 2: other}]
+    for parts in cases:
+        parked = sv._park(n, parts)
+        assert parked.shape == ((1 << (m + 2)) * n,)
+        assert np.array_equal(parked, _pad_then_swap(n, m, parts))
 
 
 def test_state_dump_lists_nonzero_amplitudes(row_case):
