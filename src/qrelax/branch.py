@@ -9,14 +9,13 @@ what lets runs scale to large n and step counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import classical
-from .encodings import _check_unit, embedding_factor
+from .encodings import _check_unit, embedding_factor, next_denominator
 from .errors import UsageError
 from .report import RunReport
 from .schedules import QUANTUM, RelaxationSchedule, SelectionStrategy, check_domain
@@ -66,21 +65,20 @@ def init_column_branch(x0, system: LinearSystem) -> BranchState:
 
 
 def row_branch_step(state: BranchState, system: LinearSystem, t: int, lam: float) -> BranchState:
-    """x picks up the relaxed projection; v grows by the rhs entry in
-    quadrature, keeping v_k^2 = v_0^2 + sum of b_{t_j}^2 exact."""
+    """x picks up the relaxed projection; v advances by ``next_denominator``."""
     check_domain(lam, QUANTUM, state.k)
     it = classical.kaczmarz_step(classical.RowIterate(state.x, state.k), system, t, lam)
-    return BranchState(it.x, v=math.hypot(state.v, system.rhs_entry(t)), k=it.k)
+    return BranchState(it.x, v=next_denominator(classical.ROW, state.v, system, t), k=it.k)
 
 
 def column_branch_step(state: BranchState, system: LinearSystem, t: int, omega: float) -> BranchState:
-    """Coordinate update plus residual contraction; v advances by 1/delta
-    (exactly k+1 after k steps when delta=1)."""
+    """Coordinate update plus residual contraction; v advances by ``next_denominator``."""
     if state.r is None:
         raise UsageError("column_branch_step needs a column-mode state (with residual)")
     check_domain(omega, QUANTUM, state.k)
     it = classical.column_step(classical.ColumnIterate(state.x, state.r, state.k), system, t, omega)
-    return BranchState(it.x, v=state.v + 1.0 / state.delta, k=it.k, r=it.r, delta=state.delta)
+    v = next_denominator(classical.COLUMN, state.v, system, t, state.delta)
+    return BranchState(it.x, v=v, k=it.k, r=it.r, delta=state.delta)
 
 
 class _BranchTracker:
@@ -93,10 +91,7 @@ class _BranchTracker:
 
     def advance(self, k: int, t: int, value: float) -> None:
         check_domain(value, QUANTUM, k)
-        if self.mode == classical.ROW:
-            self.v = math.hypot(self.v, self.system.rhs_entry(t))
-        else:
-            self.v += 1.0 / self.delta
+        self.v = next_denominator(self.mode, self.v, self.system, t, self.delta)
 
     def observe(self, x: np.ndarray, x_norm: float):
         amplitude = x_norm / self.v

@@ -8,6 +8,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .encodings import (
     verify_unitary,
 )
 from .errors import QrelaxError, UsageError
-from .loaders import load_system
+from .loaders import FORMATS, load_system
 from .report import CONVERGED, RunReport
 from .schedules import CLASSICAL, QUANTUM, RelaxationSchedule, SelectionStrategy
 from .system import COLUMNS_NORMALIZED, LinearSystem, normalize_columns, normalize_rows
@@ -43,12 +44,13 @@ MODES = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One solver invocation; round-trips losslessly through JSON."""
+    """One solver invocation: the only declaration of the run options and
+    their defaults. ``_add_run_flags`` maps one flag onto each field."""
 
-    mode: str
     system_source: str
     system_format: str = "csv"
     rhs_source: str | None = None
+    mode: str = "classical-row"
     x0: str = "e1"
     schedule: str = "constant:1.0"
     strategy: str = "cyclic"
@@ -64,16 +66,9 @@ class RunConfig:
         if self.steps < 0:
             raise UsageError(f"steps must be >= 0, got {self.steps}")
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
-
 
 def _resolve_x0(text: str, n: int) -> np.ndarray:
-    text = (text or "e1").strip()
+    text = text.strip()
     if text.startswith("e") and text[1:].isdigit():
         idx = int(text[1:])
         if not 1 <= idx <= n:
@@ -246,7 +241,8 @@ def cmd_reproduce_paper(stdout=None) -> int:
 
 
 def _verify_unitaries(trials: int, seed: int):
-    """Random-draw orthogonality/involution suite over all constructors."""
+    """Random-draw suite: every constructor must give a symmetric
+    orthogonal involution (the state preps are Householder reflections)."""
     rng = np.random.default_rng(seed)
     worst = {"orthogonality": 0.0, "symmetry": 0.0, "involution": 0.0}
     for trial in range(trials):
@@ -259,19 +255,16 @@ def _verify_unitaries(trials: int, seed: int):
             row_unitary(vec, value),
             column_residual_unitary(vec, value),
             column_update_unitary(t, value, n),
+            state_prep_row(vec),
+            state_prep_col(vec, t),
         ]
         for unit in built:
             rep = verify_unitary(unit)
-            worst["orthogonality"] = max(worst["orthogonality"], rep.max_orthogonality_deviation)
-            worst["symmetry"] = max(worst["symmetry"], rep.symmetry_deviation)
-            worst["involution"] = max(worst["involution"], rep.involution_deviation)
+            deviations = (rep.max_orthogonality_deviation, rep.symmetry_deviation,
+                          rep.involution_deviation)
+            worst = {key: max(w, d) for (key, w), d in zip(worst.items(), deviations)}
             if not (rep.passed and rep.symmetric and rep.involutory):
-                return worst, f"trial {trial}: n={n} t={t} value={value!r}"
-        for prep in (state_prep_row(vec), state_prep_col(vec, t)):
-            rep = verify_unitary(prep)
-            worst["orthogonality"] = max(worst["orthogonality"], rep.max_orthogonality_deviation)
-            if not rep.passed:
-                return worst, f"trial {trial}: prep n={n} t={t}"
+                return worst, f"trial {trial}: {unit.label} n={n} t={t} value={value!r}"
     return worst, None
 
 
@@ -363,28 +356,19 @@ def cmd_verify(trials: int = 1000, seed: int = 0, stdout=None) -> int:
 
 
 def cmd_sweep(config: RunConfig, grid: list[float], stdout=None) -> int:
-    """One solver run per relaxation value, in grid order."""
+    """One solver run per relaxation value, in grid order; each lane's
+    schedule is constant at its value, in the domain of the engine."""
     stdout = stdout or sys.stdout
     system, x0, base, strategy = _prepare(config)
-    rows = []
+    lines = ["relaxation,status,steps,final_residual,final_success_probability"]
     for value in grid:
         schedule = RelaxationSchedule.constant(value, base.domain)
         report, _ = _execute(config, system, x0, schedule, strategy)
-        final = report.final
-        rows.append({
-            "relaxation": value,
-            "status": report.status,
-            "steps": report.steps_taken,
-            "final_residual": final.residual_norm,
-            "final_success_probability": final.success_probability,
-        })
-
-    header = "relaxation,status,steps,final_residual,final_success_probability"
-    lines = [header] + [
-        f"{r['relaxation']:g},{r['status']},{r['steps']},{r['final_residual']:.12e},"
-        + ("" if r["final_success_probability"] is None else f"{r['final_success_probability']:.12e}")
-        for r in rows
-    ]
+        probability = report.final.success_probability
+        lines.append(
+            f"{value:g},{report.status},{report.steps_taken},{report.final.residual_norm:.12e},"
+            + ("" if probability is None else f"{probability:.12e}")
+        )
     text = "\n".join(lines)
     if config.out:
         with open(config.out + ".csv", "w") as fh:
@@ -410,41 +394,34 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
 
     sweep = sub.add_parser("sweep", help="one run per relaxation value")
-    _add_run_flags(sweep)
+    _add_run_flags(sweep, schedule=False)
     sweep.add_argument("--grid", required=True, help="comma list of relaxation values")
     return parser
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--system", required=True, help="path (csv/matrixmarket) or inline text")
-    parser.add_argument("--format", default="csv", choices=("matrixmarket", "csv", "inline"))
-    parser.add_argument("--rhs", default=None, help="rhs file for matrixmarket input")
-    parser.add_argument("--mode", default="classical-row", choices=MODES)
-    parser.add_argument("--x0", default="e1", help="'e<i>' or comma list, default e1")
-    parser.add_argument("--schedule", default="constant:1.0", help="constant:V | decaying:V | seq:V,...")
-    parser.add_argument("--strategy", default="cyclic", help="cyclic | random | greedy | seq:T,...")
-    parser.add_argument("--steps", type=int, default=100)
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mem-limit", type=int, default=statevector.DEFAULT_MEM_LIMIT)
-    parser.add_argument("--out", default=None, help="output prefix for record/summary files")
+def _add_run_flags(parser: argparse.ArgumentParser, schedule: bool = True) -> None:
+    """One flag per ``RunConfig`` field; an unset flag leaves the field's default."""
+    flag = partial(parser.add_argument, default=argparse.SUPPRESS)
+    flag("--system", dest="system_source", metavar="SYSTEM", required=True,
+         help="path (csv/matrixmarket) or inline text")
+    flag("--format", dest="system_format", choices=FORMATS)
+    flag("--rhs", dest="rhs_source", metavar="RHS", help="rhs file, matrixmarket input only")
+    flag("--mode", choices=MODES, help=f"default {RunConfig.mode}")
+    flag("--x0", help=f"'e<i>' or comma list, default {RunConfig.x0}")
+    if schedule:
+        flag("--schedule", help="constant:V | decaying:V | seq:V,...")
+    flag("--strategy", help="cyclic | random | greedy | seq:T,...")
+    flag("--steps", type=int)
+    flag("--tol", type=float)
+    flag("--seed", type=int)
+    flag("--mem-limit", type=int)
+    flag("--out", help="output prefix for record/summary files")
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        mode=args.mode,
-        system_source=args.system,
-        system_format=args.format,
-        rhs_source=args.rhs,
-        x0=args.x0,
-        schedule=args.schedule,
-        strategy=args.strategy,
-        steps=args.steps,
-        tol=args.tol,
-        seed=args.seed,
-        mem_limit=args.mem_limit,
-        out=args.out,
-    )
+    given = vars(args)
+    fields = (f.name for f in dataclasses.fields(RunConfig))
+    return RunConfig(**{name: given[name] for name in fields if name in given})
 
 
 def main(argv=None) -> int:
@@ -457,7 +434,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.trials, args.seed)
         if args.command == "sweep":
-            grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
+            try:
+                grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
+            except ValueError:
+                raise UsageError(f"cannot parse sweep grid {args.grid!r}") from None
             if not grid:
                 raise UsageError("empty sweep grid")
             return cmd_sweep(_config_from_args(args), grid)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import ROW
 from .errors import UsageError
 from .schedules import QUANTUM, check_domain
-from .system import UNIT_TOL
+from .system import UNIT_TOL, LinearSystem
 
 LABEL_ROW_U = "row-U"
 LABEL_COLUMN_U = "column-residual-U"
@@ -90,6 +91,17 @@ def embedding_factor(r_norm: float) -> float:
     if r_norm == 0.0 or abs(r_norm - 1.0) <= UNIT_TOL:
         return 1.0
     return 1.0 / r_norm
+
+
+def next_denominator(
+    direction: str, v: float, system: LinearSystem, t: int, delta: float = 1.0
+) -> float:
+    """The good-branch denominator after one iteration on index t: row
+    v' = hypot(v, b_t), so v_k^2 = v_0^2 + sum of b_{t_j}^2; column
+    v' = v + 1/delta, which is k+1 after k steps when delta=1."""
+    if direction == ROW:
+        return math.hypot(v, system.rhs_entry(t))
+    return v + 1.0 / delta
 
 
 def _reflection_grid(p: np.ndarray, value: float) -> np.ndarray:

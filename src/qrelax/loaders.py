@@ -6,30 +6,35 @@ import os
 
 import numpy as np
 
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, ParseError, UsageError
 from .system import LinearSystem
 
 FORMATS = ("matrixmarket", "csv", "inline")
+MM_HEADER = "%%MatrixMarket"
 
 
 def load_system(source, fmt: str, rhs=None) -> LinearSystem:
     """Read a raw (unnormalized) square system from ``source``.
 
     ``source`` is a file path for ``csv`` and ``matrixmarket``, the literal
-    text for ``inline``. CSV and inline carry b themselves; Matrix Market
-    files hold a single matrix, so ``rhs`` must name a second file (Matrix
-    Market array vector, or one value per line).
+    text for ``inline``. CSV and inline carry b themselves, so ``rhs`` is
+    refused for them. Matrix Market files hold a single matrix, so ``rhs``
+    must name a second file: a Matrix Market matrix with one column (any
+    supported layout), or plain text with one value per line.
     """
+    if rhs is not None and fmt in ("csv", "inline"):
+        raise UsageError(f"{fmt} input carries its own rhs; --rhs is for matrixmarket")
     if fmt == "csv":
         return _parse_csv(_read(source))
     if fmt == "inline":
         return _parse_inline(str(source))
     if fmt == "matrixmarket":
         matrix = _parse_matrix_market(_read(source))
+        if matrix.shape[0] != matrix.shape[1]:
+            raise DimensionError(f"matrix is {matrix.shape[0]}x{matrix.shape[1]}, must be square")
         if rhs is None:
             raise ParseError("matrixmarket input needs a separate rhs file (--rhs)")
-        b = _parse_rhs(_read(rhs))
-        return LinearSystem(matrix, b)
+        return LinearSystem(matrix, _parse_rhs(_read(rhs)))
     raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -38,6 +43,14 @@ def _read(path) -> str:
         raise ParseError(f"no such file: {path}")
     with open(path, "r") as fh:
         return fh.read()
+
+
+def _lines(text: str, comment: str):
+    """Yield ``(line number, stripped text)`` of each non-blank, non-comment line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith(comment):
+            yield lineno, stripped
 
 
 def _float(token: str, line: int | None, part: str = "") -> float:
@@ -54,29 +67,31 @@ def _int(token: str, line: int) -> int:
         raise ParseError(f"not an integer: {token!r}", line) from None
 
 
-def _parse_csv(text: str) -> LinearSystem:
-    """n rows of n comma-separated reals, then one final row for b."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(([_float(tok.strip(), lineno) for tok in stripped.split(",")], lineno))
-    if len(rows) < 2:
-        raise ParseError("need at least one matrix row plus a rhs row")
-    matrix_rows = [r for r, _ in rows[:-1]]
-    b, b_line = rows[-1]
-    width = len(matrix_rows[0])
-    for r, lineno in rows[:-1]:
-        if len(r) != width:
-            raise ParseError(f"expected {width} entries, got {len(r)}", lineno)
-    if len(matrix_rows) != width:
-        raise DimensionError(
-            f"matrix is {len(matrix_rows)}x{width}, must be square"
-        )
+def _square_system(rows, b, b_line=None) -> LinearSystem:
+    """Build a system from ``(values, line)`` rows and b after checking their
+    shape; a row without a line (inline text) is named by its position."""
+    width = len(rows[0][0])
+    for i, (values, line) in enumerate(rows, start=1):
+        if len(values) != width:
+            where = "" if line is not None else f"matrix row {i}: "
+            raise ParseError(f"{where}expected {width} entries, got {len(values)}", line)
+    if len(rows) != width:
+        raise DimensionError(f"matrix is {len(rows)}x{width}, must be square")
     if len(b) != width:
         raise ParseError(f"rhs has {len(b)} entries, expected {width}", b_line)
-    return LinearSystem(np.array(matrix_rows), np.array(b))
+    return LinearSystem(np.array([values for values, _ in rows]), np.array(b))
+
+
+def _parse_csv(text: str) -> LinearSystem:
+    """n rows of n comma-separated reals, then one final row for b."""
+    rows = [
+        ([_float(tok.strip(), lineno) for tok in line.split(",")], lineno)
+        for lineno, line in _lines(text, "#")
+    ]
+    if len(rows) < 2:
+        raise ParseError("need at least one matrix row plus a rhs row")
+    b, b_line = rows.pop()
+    return _square_system(rows, b, b_line)
 
 
 def _parse_inline(text: str) -> LinearSystem:
@@ -88,34 +103,27 @@ def _parse_inline(text: str) -> LinearSystem:
         raise ParseError("inline system needs '|' separating the matrix from b")
     # Inline text has no lines, so a bad token is named by its part.
     left, _, right = text.partition("|")
-    matrix_rows = []
+    rows = []
     for i, chunk in enumerate((r for r in left.split(";") if r.strip()), start=1):
         cells = enumerate(chunk.split(","), start=1)
-        matrix_rows.append(
-            [_float(c.strip(), None, f"matrix row {i}, entry {j}: ") for j, c in cells]
+        rows.append(
+            ([_float(c.strip(), None, f"matrix row {i}, entry {j}: ") for j, c in cells], None)
         )
     cells = enumerate((c for c in right.split(",") if c.strip()), start=1)
     b = [_float(c.strip(), None, f"rhs entry {j}: ") for j, c in cells]
-    if not matrix_rows:
+    if not rows:
         raise ParseError("inline system has an empty matrix part")
-    width = len(matrix_rows[0])
-    for i, r in enumerate(matrix_rows):
-        if len(r) != width:
-            raise ParseError(f"row {i + 1} has {len(r)} entries, expected {width}")
-    if len(matrix_rows) != width:
-        raise DimensionError(f"matrix is {len(matrix_rows)}x{width}, must be square")
-    if len(b) != width:
-        raise ParseError(f"rhs has {len(b)} entries, expected {width}")
-    return LinearSystem(np.array(matrix_rows), np.array(b))
+    return _square_system(rows, b)
 
 
 def _parse_matrix_market(text: str) -> np.ndarray:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ParseError("missing %%MatrixMarket header", 1)
-    header = lines[0].split()
+    """A real ``coordinate`` or ``array`` matrix, as a rows x cols array."""
+    first = next(iter(text.splitlines()), "")
+    if not first.startswith(MM_HEADER):
+        raise ParseError(f"missing {MM_HEADER} header", 1)
+    header = first.split()
     if len(header) < 5 or header[1].lower() != "matrix":
-        raise ParseError(f"unsupported header: {lines[0]!r}", 1)
+        raise ParseError(f"unsupported header: {first!r}", 1)
     layout, field, symmetry = (tok.lower() for tok in header[2:5])
     if layout not in ("coordinate", "array"):
         raise ParseError(f"unsupported layout {layout!r} (coordinate/array only)", 1)
@@ -124,11 +132,8 @@ def _parse_matrix_market(text: str) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {symmetry!r}", 1)
 
-    body = [
-        (lineno, s)
-        for lineno, s in ((i, ln.strip()) for i, ln in enumerate(lines[1:], start=2))
-        if s and not s.startswith("%")
-    ]
+    # The header starts with '%', so it is skipped with the comments.
+    body = list(_lines(text, "%"))
     if not body:
         raise ParseError("missing size line")
     size_line, size_text = body[0]
@@ -141,8 +146,8 @@ def _parse_matrix_market(text: str) -> np.ndarray:
     if any(c < 0 for c in counts):
         raise ParseError(f"negative count on size line: {size_text!r}", size_line)
     rows, cols = counts[:2]
-    if rows != cols:
-        raise DimensionError(f"matrix is {rows}x{cols}, must be square")
+    if symmetry == "symmetric" and rows != cols:
+        raise DimensionError(f"symmetric matrix is {rows}x{cols}, must be square")
 
     if layout == "coordinate":
         nnz = counts[2]
@@ -159,10 +164,8 @@ def _parse_matrix_market(text: str) -> np.ndarray:
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise ParseError(f"index ({i},{j}) out of range", lineno)
             value = _float(toks[2], lineno)
-            positions = [(i, j)]
-            if symmetry == "symmetric" and i != j:
-                positions.append((j, i))
-            for p, q in positions:
+            mirrored = symmetry == "symmetric" and i != j
+            for p, q in [(i, j), (j, i)] if mirrored else [(i, j)]:
                 if (p, q) in seen:
                     raise ParseError(
                         f"entry ({p},{q}) already given on line {seen[p, q]}", lineno
@@ -178,37 +181,20 @@ def _parse_matrix_market(text: str) -> np.ndarray:
             a = np.array(values).reshape((cols, rows)).T  # column-major storage
         else:
             a = np.zeros((rows, cols))
-            it = iter(values)
-            for j in range(cols):
-                for i in range(j, rows):
-                    a[i, j] = a[j, i] = next(it)
+            j, i = np.triu_indices(rows)  # the lower triangle, column by column
+            a[i, j] = a[j, i] = values
     return a
 
 
 def _parse_rhs(text: str) -> np.ndarray:
-    """A Matrix Market array vector, or plain one-value-per-line text."""
-    if text.lstrip().startswith("%%MatrixMarket"):
-        lines = [
-            s for s in (ln.strip() for ln in text.splitlines()[1:])
-            if s and not s.startswith("%")
-        ]
-        if not lines:
-            raise ParseError("rhs has no size line")
-        size = lines[0].split()
-        if len(size) != 2 or not all(tok.isdigit() for tok in size):
-            raise ParseError(f"rhs size line needs 'rows cols', got {lines[0]!r}")
-        rows, cols = int(size[0]), int(size[1])
-        if cols != 1:
-            raise ParseError(f"rhs must be a column vector, got {rows}x{cols}")
-        values = [_float(tok, i + 2) for i, tok in enumerate(lines[1:])]
-        if len(values) != rows:
-            raise ParseError(f"rhs size line promises {rows} values, found {len(values)}")
-        return np.array(values)
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            values.append(_float(s, lineno))
+    """A Matrix Market matrix with one column, or plain one-value-per-line text
+    (``#`` comments). A Matrix Market file starts with its header line."""
+    if text.startswith(MM_HEADER):
+        b = _parse_matrix_market(text)
+        if b.shape[1] != 1:
+            raise ParseError(f"rhs must be a column vector, got {b.shape[0]}x{b.shape[1]}")
+        return b[:, 0]
+    values = [_float(line, lineno) for lineno, line in _lines(text, "#")]
     if not values:
         raise ParseError("rhs file is empty")
     return np.array(values)

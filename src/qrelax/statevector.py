@@ -37,6 +37,7 @@ from .encodings import (
     column_update_unitary,
     embedding_factor,
     givens,
+    next_denominator,
     row_unitary,
     state_prep_col,
 )
@@ -245,7 +246,7 @@ def apply_row_iteration(state: SimState, system: LinearSystem, t: int, lam: floa
     vec = _apply_tail_operator(vec, operator.matrix)
     vec = _park(n, {0: vec})
 
-    v_next = math.hypot(state.v, system.rhs_entry(t))
+    v_next = next_denominator(classical.ROW, state.v, system, t)
     return SimState(vec, RegisterLayout(m + 2, n), k + 1, v_next)
 
 
@@ -326,7 +327,8 @@ def apply_column_iteration(
     psi = _park(n, {0: beta * x_state.vec, 2: gamma * rotated_r})
     psi = _apply_tail_operator(psi, column_update_unitary(t, omega, n).matrix)
     psi = _apply_last_qubit(psi, n, givens(GivensParams(beta, gamma)).matrix)
-    x_next = SimState(psi, RegisterLayout(m + 2, n), k + 1, x_state.v + 1.0 / delta)
+    v_next = next_denominator(classical.COLUMN, x_state.v, system, t, delta)
+    x_next = SimState(psi, RegisterLayout(m + 2, n), k + 1, v_next)
 
     r_vec = _apply_tail_operator(r_state.vec, column_residual_unitary(column, omega).matrix)
     return x_next, SimState(_park(n, {0: r_vec}), RegisterLayout(m + 2, n), k + 1, 1.0)

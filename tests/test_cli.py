@@ -25,23 +25,52 @@ def write_identity_csv(tmp_path):
     return str(path)
 
 
-def test_config_round_trip(rng):
-    for _ in range(100):
-        config = cli.RunConfig(
-            mode=str(rng.choice(cli.MODES)),
-            system_source=f"sys-{rng.integers(100)}.csv",
-            system_format=str(rng.choice(["csv", "matrixmarket", "inline"])),
-            rhs_source=None if rng.random() < 0.5 else "b.txt",
-            x0=str(rng.choice(["e1", "0.6,0.8", "e2"])),
-            schedule=f"constant:{rng.uniform(0, 1):.17g}",
-            strategy=str(rng.choice(["cyclic", "random", "greedy", "seq:1,2"])),
-            steps=int(rng.integers(0, 1000)),
-            tol=float(10.0 ** -rng.integers(6, 14)),
-            seed=int(rng.integers(0, 2**31)),
-            mem_limit=int(rng.integers(10**6, 10**10)),
-            out=None if rng.random() < 0.5 else "prefix",
-        )
-        assert cli.RunConfig.from_json(config.to_json()) == config
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_config_defaults_come_from_run_config(command):
+    argv = [command, "--system", "s.csv"] + (["--grid", "0.5"] if command == "sweep" else [])
+    args = cli.build_parser().parse_args(argv)
+    assert cli._config_from_args(args) == cli.RunConfig(system_source="s.csv")
+
+
+def test_config_takes_every_given_flag():
+    args = cli.build_parser().parse_args([
+        "solve", "--system", "a.mtx", "--format", "matrixmarket", "--rhs", "b.txt",
+        "--mode", "branch-column", "--x0", "e2", "--schedule", "decaying:0.5",
+        "--strategy", "greedy", "--steps", "7", "--tol", "1e-3", "--seed", "4",
+        "--mem-limit", "5000", "--out", "run",
+    ])
+    assert cli._config_from_args(args) == cli.RunConfig(
+        system_source="a.mtx", system_format="matrixmarket", rhs_source="b.txt",
+        mode="branch-column", x0="e2", schedule="decaying:0.5", strategy="greedy",
+        steps=7, tol=1e-3, seed=4, mem_limit=5000, out="run",
+    )
+
+
+def test_sweep_has_no_schedule_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([
+            "sweep", "--system", ROW_INLINE, "--format", "inline",
+            "--grid", "0.5", "--schedule", "constant:0.3",
+        ])
+    assert excinfo.value.code == 2
+
+
+def test_sweep_bad_grid_exits_one(capsys):
+    rc = cli.main(["sweep", "--system", ROW_INLINE, "--format", "inline", "--grid", "0.5,x"])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: cannot parse sweep grid '0.5,x'\n"
+
+
+def test_solve_rhs_with_inline_input_exits_one(tmp_path, capsys):
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1\n0\n")
+    rc = cli.main([
+        "solve", "--system", "1,0; 0,1 | 1,0", "--format", "inline", "--rhs", str(rhs),
+    ])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--rhs" in err
 
 
 def test_solve_identity_converges_with_exit_zero(tmp_path, capsys):
@@ -188,6 +217,23 @@ def test_verify_flags_broken_constructor(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == cli.EXIT_ERROR
     assert "FAIL unitarity" in out and "trial" in out
+
+
+def test_verify_flags_non_symmetric_state_prep(monkeypatch, capsys):
+    from qrelax import encodings
+
+    def rotated(c, t):
+        # Orthogonal, but not a reflection: a cyclic shift of the rows.
+        built = encodings.state_prep_col(c, t)
+        return encodings.BlockUnitary(
+            np.roll(built.matrix, 1, axis=0), built.block_size, built.grid, built.label
+        )
+
+    monkeypatch.setattr(cli, "state_prep_col", rotated)
+    rc = cli.main(["verify", "--trials", "5", "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_ERROR
+    assert "FAIL unitarity" in out and encodings.LABEL_COLUMN_PREP in out
 
 
 def test_sweep_emits_csv_rows(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qrelax.errors import DimensionError, ParseError
+from qrelax.errors import DimensionError, ParseError, UsageError
 from qrelax.loaders import load_system
 
 R2 = math.sqrt(2.0)
@@ -217,3 +217,62 @@ def test_matrix_market_duplicate_entry_is_rejected(tmp_path, symmetry, entries):
     with pytest.raises(ParseError, match="already given on line") as excinfo:
         load_system(str(mtx), "matrixmarket", rhs=str(rhs))
     assert excinfo.value.line == 5
+
+
+MM_IDENTITY = "%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n"
+
+
+def _load_mm_rhs(tmp_path, rhs_text, matrix_text=MM_IDENTITY):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(matrix_text)
+    rhs = tmp_path / "b.mtx"
+    rhs.write_text(rhs_text)
+    return load_system(str(mtx), "matrixmarket", rhs=str(rhs))
+
+
+def test_matrix_market_rhs_error_names_its_file_line(tmp_path):
+    rhs_text = (
+        "%%MatrixMarket matrix array real general\n"
+        "% first comment\n"
+        "% second comment\n"
+        "3 1\n"
+        "1.0\n"
+        "x\n"
+        "2.0\n"
+    )
+    three = "%%MatrixMarket matrix array real general\n3 3\n" + "1\n" * 9
+    with pytest.raises(ParseError) as excinfo:
+        _load_mm_rhs(tmp_path, rhs_text, three)
+    assert excinfo.value.line == 6
+
+
+def test_matrix_market_coordinate_rhs_equals_array_rhs(tmp_path):
+    array = _load_mm_rhs(
+        tmp_path, "%%MatrixMarket matrix array real general\n2 1\n7.5\n0\n"
+    )
+    coordinate = _load_mm_rhs(
+        tmp_path, "%%MatrixMarket matrix coordinate real general\n% b\n2 1 1\n1 1 7.5\n"
+    )
+    assert np.array_equal(coordinate.rhs, array.rhs)
+    assert np.array_equal(array.rhs, [7.5, 0.0])
+
+
+@pytest.mark.parametrize("rhs_text, error", [
+    ("%%MatrixMarket\n2 1\n1\n0\n", ParseError),
+    ("%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n", ParseError),
+    ("%%MatrixMarket matrix array real symmetric\n2 1\n1\n0\n", DimensionError),
+], ids=["bare-header", "two-columns", "symmetric-not-square"])
+def test_matrix_market_rhs_is_a_one_column_matrix(tmp_path, rhs_text, error):
+    with pytest.raises(error):
+        _load_mm_rhs(tmp_path, rhs_text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "inline"])
+def test_rhs_file_is_refused_for_formats_that_carry_b(tmp_path, fmt):
+    path = tmp_path / "id.csv"
+    path.write_text("1,0\n0,1\n1,0\n")
+    rhs = tmp_path / "b.txt"
+    rhs.write_text("1\n0\n")
+    source = str(path) if fmt == "csv" else "1,0; 0,1 | 1,0"
+    with pytest.raises(UsageError, match="--rhs is for matrixmarket"):
+        load_system(source, fmt, rhs=str(rhs))
