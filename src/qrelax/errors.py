@@ -62,5 +62,19 @@ class ResourceError(QrelaxError):
         self.limit_bytes = limit_bytes
 
 
+class KeyWidthError(ResourceError):
+    """A simulated register would need more ancillas than its int64 keys hold."""
+
+    def __init__(self, k, ancillas, key_bits):
+        QrelaxError.__init__(
+            self,
+            f"statevector at iteration k={k} needs {ancillas} ancillas, over the "
+            f"{key_bits}-bit ancilla key width; reduce steps",
+        )
+        self.k = k
+        self.ancillas = ancillas
+        self.key_bits = key_bits
+
+
 class InvariantViolation(QrelaxError):
     """An internal run invariant failed (e.g. statevector norm drifted)."""

@@ -29,13 +29,24 @@ def load_system(source, fmt: str, rhs=None) -> LinearSystem:
     if fmt == "inline":
         return _parse_inline(str(source))
     if fmt == "matrixmarket":
-        matrix = _parse_matrix_market(_read(source))
+        matrix = _parse_file(source, _parse_matrix_market)
         if matrix.shape[0] != matrix.shape[1]:
             raise DimensionError(f"matrix is {matrix.shape[0]}x{matrix.shape[1]}, must be square")
         if rhs is None:
             raise ParseError("matrixmarket input needs a separate rhs file (--rhs)")
-        return LinearSystem(matrix, _parse_rhs(_read(rhs)))
+        return LinearSystem(matrix, _parse_file(rhs, _parse_rhs))
     raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def _parse_file(path, parse):
+    """``parse`` of the file's text; a parse error is prefixed with the path,
+    since a Matrix Market system spans two files."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except (ParseError, DimensionError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _read(path) -> str:

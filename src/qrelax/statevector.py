@@ -1,11 +1,13 @@
-"""Dense statevector simulation of the block-encoded iteration circuits.
+"""Support-sparse statevector simulation of the block-encoded iteration circuits.
 
 Register conventions
 --------------------
 The state is a real amplitude vector over ``m`` ancilla qubits tensored
-with one n-level data register. Qubit 1 is the leftmost tensor factor,
-so reshaping the flat vector to ``(2,)*m + (n,)`` puts qubit i on axis
-i-1 and the data register on the last axis. The data register is kept
+with one n-level data register, stored by support: ``keys`` is the
+sorted int64 array of the ancilla basis states (keys) whose n-amplitude
+data block is stored, and ``vec`` holds those blocks as a (K, n) array.
+Every other block is zero. Qubit 1 is the most significant of the m key
+bits, so key 0 is the all-zero ancilla state. The data register is kept
 n-level on purpose: the applied operators are n-dimensional blocks, and
 padding to a power of two would introduce behavior on pad states that
 nothing defines. Reported qubit totals use ceil(log2 n) for the data
@@ -15,16 +17,26 @@ The row algorithm grows three ancillas per iteration (m = 3k+2 after k
 iterations); the column algorithm grows two per iteration on each of its
 registers (m = 2(k+1)); ``ancillas`` holds that rule. Each iteration
 seats a fresh ancilla pair next to the data register and moves the used
-pair to the front; ``_park`` does this in one strided copy. The good
-branch is the all-zero ancilla component; it carries ||x_k||/v_k times
-the unit iterate, where v is the bookkeeping denominator tracked
-alongside the state.
+pair to the front; on keys that is the bit map ``_park_keys``, and a
+SWAP is an exchange of two key bits. A 4n-by-4n operator on the last
+ancilla pair acts on the keys that share ``key >> 2``: each such group
+is gathered into one zero-filled row of a (G, 4n) buffer and multiplied
+by the operator's matrix. An output key is stored when a non-zero block
+of the operator feeds it from a stored key. Support is decided from the
+keys and the operators' block patterns only, never by testing an
+amplitude against zero, so an amplitude that cancels exactly keeps its
+key. A row run therefore stores at most 3^k of the 4*8^k blocks: each
+iteration feeds one fresh row into three of the four slots of a pair.
+
+The good branch is key 0; it carries ||x_k||/v_k times the unit
+iterate, where v is the bookkeeping denominator tracked alongside the
+state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -41,13 +53,22 @@ from .encodings import (
     row_unitary,
     state_prep_col,
 )
-from .errors import InvariantViolation, ResourceError, UsageError
+from .errors import InvariantViolation, KeyWidthError, ResourceError, UsageError
 from .schedules import QUANTUM, RelaxationSchedule, SelectionStrategy, check_domain
 from .system import COLUMNS_NORMALIZED, ROWS_NORMALIZED, LinearSystem, require_normalization
 
 NORM_TOL = 1e-10
-DEFAULT_MEM_LIMIT = 2 * 1024**3  # bytes of statevector, the largest transient included
+# Bytes one iteration may hold at its predicted peak: the live input
+# blocks, the gather buffer and operator output, the new blocks, their
+# int64 index arrays and the operator matrices (see _guard_memory).
+DEFAULT_MEM_LIMIT = 2 * 1024**3
 _FLOAT_BYTES = 8
+# int64 words of keys and indices the guard counts beside each block row;
+# with it the prediction is 1.3-2.4x the tracemalloc peak for n = 1..16.
+_INDEX_WORDS = 3
+# Most ancillas a register may have: prepare_Y adds one qubit to a
+# 62-ancilla row register, which fills the 63 value bits of an int64 key.
+KEY_BITS = 62
 
 
 def ancillas(direction: str, k: int) -> int:
@@ -65,28 +86,30 @@ class RegisterLayout:
     data_dim: int
 
     @property
-    def dim(self) -> int:
-        return (1 << self.ancillas) * self.data_dim
-
-    @property
     def qubit_total(self) -> int:
         return self.ancillas + max(1, math.ceil(math.log2(self.data_dim)))
 
 
 @dataclass(frozen=True)
 class SimState:
-    """Flat amplitude vector plus layout, step counter and denominator v."""
+    """Stored ancilla keys and their data blocks, plus layout, step
+    counter and denominator v."""
 
-    vec: np.ndarray
+    keys: np.ndarray  # (K,) int64, sorted and distinct
+    vec: np.ndarray  # (K, n): the data block of each key
     layout: RegisterLayout
     k: int
     v: float
 
     def __post_init__(self):
-        if self.vec.shape != (self.layout.dim,):
+        n, m = self.layout.data_dim, self.layout.ancillas
+        if self.keys.ndim != 1 or self.vec.shape != (self.keys.size, n):
             raise UsageError(
-                f"state has {self.vec.shape[0]} amplitudes, layout wants {self.layout.dim}"
+                f"state has {self.vec.shape} blocks for {self.keys.size} keys, layout wants n={n}"
             )
+        keys = self.keys
+        if keys.size and (keys[0] < 0 or keys[-1] >> m or np.any(keys[1:] <= keys[:-1])):
+            raise UsageError(f"ancilla keys must be sorted, distinct and below 2^{m}")
 
     @property
     def norm(self) -> float:
@@ -94,53 +117,93 @@ class SimState:
 
     def dump(self, cutoff: float = 1e-14) -> str:
         """Nonzero amplitudes as '(ancilla bits, data index, amplitude)' lines."""
-        m, n = self.layout.ancillas, self.layout.data_dim
-        grid = self.vec.reshape((1 << m, n))
+        m = self.layout.ancillas
         lines = []
-        for anc in range(1 << m):
-            for d in range(n):
-                amp = grid[anc, d]
-                if abs(amp) > cutoff:
-                    bits = format(anc, f"0{m}b") if m else ""
-                    lines.append(f"{bits} {d + 1} {float(amp)!r}")
+        for i, d in zip(*np.nonzero(np.abs(self.vec) > cutoff)):
+            bits = format(int(self.keys[i]), f"0{m}b") if m else ""
+            lines.append(f"{bits} {d + 1} {float(self.vec[i, d])!r}")
         return "\n".join(lines) + "\n"
 
 
-# --- low-level register manipulation ---------------------------------------
+# --- keys and routes ------------------------------------------------------------
 
 
-def _swap_qubits(vec: np.ndarray, m: int, n: int, i: int, j: int) -> np.ndarray:
-    """Exchange ancilla qubits i and j (1-based)."""
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise UsageError(f"swap ({i},{j}) outside 1..{m}")
-    tensor = vec.reshape((2,) * m + (n,))
-    return np.swapaxes(tensor, i - 1, j - 1).reshape(-1)
+def _swap_keys(keys: np.ndarray, m: int, i: int, j: int) -> np.ndarray:
+    """SWAP(i, j) of 1-based ancilla qubits: exchange key bits m-i and m-j."""
+    bi, bj = m - i, m - j
+    differ = ((keys >> bi) ^ (keys >> bj)) & 1
+    return keys ^ ((differ << bi) | (differ << bj))
 
 
-def _apply_tail_operator(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` on the trailing factors its width spans: 4n-by-4n on
-    (last two ancillas) tensor (data), n-by-n on the data register."""
-    out = vec.reshape((-1, mat.shape[0])) @ mat.T
-    return out.reshape(-1)
+def _park_keys(keys: np.ndarray, m: int, slot: int) -> np.ndarray:
+    """Map m-ancilla keys to m+2: prepend two qubits in |slot> (qubit 1
+    the high bit), then SWAP(1, m+1) and SWAP(2, m+2)."""
+    return ((keys & 3) << m) | ((keys >> 2) << 2) | slot
 
 
-def _apply_last_qubit(vec: np.ndarray, n: int, mat2: np.ndarray) -> np.ndarray:
-    """Apply a single-qubit operator on the last ancilla."""
-    tensor = vec.reshape((-1, 2, n))
-    return np.einsum("ab,xbd->xad", mat2, tensor).reshape(-1)
+def _pattern(matrix: np.ndarray, slots: int) -> np.ndarray:
+    """(out slot, in slot) -> whether that block of a grid operator is non-zero."""
+    n = matrix.shape[0] // slots
+    return np.any(matrix.reshape(slots, n, slots, n) != 0, axis=(1, 3))
 
 
-def _park(n: int, parts: dict[int, np.ndarray]) -> np.ndarray:
-    """Map equal-size m-ancilla vectors ``{slot: vec}`` to m+2 ancillas.
+@dataclass(frozen=True)
+class _Route:
+    """Where grid operators on the low key bits take each stored block.
 
-    Equals prepending two qubits in |slot> (qubit 1 the high bit) to each
-    vec, summing, then SWAP(1, m+1) and SWAP(2, m+2).
+    Input block i goes to slot ``slot[i]`` of row ``group[i]`` of a
+    zero-filled (rows, slots, n) gather buffer; the operators' output
+    keeps the flat buffer rows ``keep``, whose keys are ``keys`` (sorted).
     """
-    size = next(iter(parts.values())).size
-    out = np.zeros((4, size // (4 * n), 4, n))
-    for slot, vec in parts.items():
-        out[:, :, slot, :] = vec.reshape((-1, 4, n)).transpose(1, 0, 2)
-    return out.reshape(-1)
+
+    group: np.ndarray
+    slot: np.ndarray
+    rows: int
+    slots: int
+    keep: np.ndarray
+    keys: np.ndarray
+
+
+def _route(keys: np.ndarray, *patterns: np.ndarray) -> _Route:
+    """Route distinct (not necessarily sorted) keys through grid operators
+    with the given block patterns, applied in order on one slot grid."""
+    slots = patterns[0].shape[0]
+    bits = slots.bit_length() - 1
+    groups, group = np.unique(keys >> bits, return_inverse=True)
+    slot = keys & (slots - 1)
+    fed = np.zeros((groups.size, slots), dtype=bool)
+    fed[group, slot] = True
+    for pattern in patterns:
+        fed = fed @ pattern.T
+    keep = np.flatnonzero(fed)
+    out = (groups[keep // slots] << bits) | (keep % slots)
+    return _Route(group, slot, groups.size, slots, keep, out)
+
+
+def _parked(route: _Route, m: int) -> _Route:
+    """``route`` followed by parking its m-ancilla output keys in slot 0."""
+    keys = _park_keys(route.keys, m, 0)
+    order = np.argsort(keys)
+    return replace(route, keep=route.keep[order], keys=keys[order])
+
+
+def _gather(route: _Route, n: int, *sources: np.ndarray) -> np.ndarray:
+    """The zero-filled (rows, slots, n) buffer holding the source blocks,
+    which follow one another in the order of the routed keys."""
+    buf = np.zeros((route.rows, route.slots, n))
+    start = 0
+    for blocks in sources:
+        stop = start + blocks.shape[0]
+        buf[route.group[start:stop], route.slot[start:stop]] = blocks
+        start = stop
+    return buf
+
+
+def _apply_routed(route: _Route, blocks: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Apply a grid operator: gather by group, one matmul, keep the routed rows."""
+    n = blocks.shape[1]
+    out = _gather(route, n, blocks).reshape(route.rows, -1) @ matrix.T
+    return out.reshape(-1, n)[route.keep]
 
 
 def assert_normalized(state: SimState, tol: float = NORM_TOL) -> SimState:
@@ -156,12 +219,14 @@ def assert_normalized(state: SimState, tol: float = NORM_TOL) -> SimState:
 
 
 def extract_good_branch(state: SimState):
-    """Project onto all-zero ancillas: (amplitude >= 0, unit direction).
+    """Project onto all-zero ancillas (key 0): (amplitude >= 0, unit direction).
 
     A zeroed good branch reports amplitude 0 with a zero direction.
     """
     n = state.layout.data_dim
-    good = state.vec[:n]
+    if state.keys.size == 0 or state.keys[0] != 0:
+        return 0.0, np.zeros(n)
+    good = state.vec[0]
     amplitude = float(np.linalg.norm(good))
     if amplitude == 0.0:
         return 0.0, np.zeros(n)
@@ -175,27 +240,28 @@ class MeasurementResult:
 
 
 def measure_ancillas(state: SimState, seed=None, shots: int = 1) -> MeasurementResult:
-    """Sample the ancilla register; reproducible under a fixed seed."""
+    """Sample the ancilla register over the stored keys; reproducible under
+    a fixed seed."""
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
-    m, n = state.layout.ancillas, state.layout.data_dim
-    probs = np.sum(state.vec.reshape((1 << m, n)) ** 2, axis=1)
+    m = state.layout.ancillas
+    probs = np.sum(state.vec**2, axis=1)
     total = probs.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise InvariantViolation(f"ancilla probabilities sum to {total!r}")
     rng = np.random.default_rng(seed)
-    drawn = rng.choice(1 << m, size=shots, p=probs / total)
+    drawn = state.keys[rng.choice(state.keys.size, size=shots, p=probs / total)]
     bits = ((drawn[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
-    return MeasurementResult(outcomes=bits, success_probability=float(probs[0]))
+    success = float(probs[0]) if state.keys[0] == 0 else 0.0
+    return MeasurementResult(outcomes=bits, success_probability=success)
 
 
 # --- row algorithm ----------------------------------------------------------
 
 
 def _initial_state(data: np.ndarray) -> SimState:
-    vec = np.zeros(4 * data.size)
-    vec[: data.size] = data
-    return SimState(vec, RegisterLayout(2, data.size), k=0, v=1.0)
+    return SimState(np.zeros(1, dtype=np.int64), np.array([data]), RegisterLayout(2, data.size),
+                    k=0, v=1.0)
 
 
 def init_row_state(x0) -> SimState:
@@ -214,17 +280,41 @@ def row_mixing(v: float, b_t: float):
     return beta, beta * b_t / v
 
 
+def _prepared_keys(keys: np.ndarray, m: int) -> np.ndarray:
+    """Keys after prepare_Y: the iterate's, then the fresh row's 1 << m."""
+    return np.append(keys, 1 << m)
+
+
 def prepare_Y(state: SimState, system: LinearSystem, t: int) -> SimState:
-    """Prepend one qubit: beta|0>|X_k> + gamma|1>|0...0>|a_t>."""
+    """Prepend one qubit: beta|0>|X_k> + gamma|1>|0...0>|a_t>.
+
+    The fresh-row key is stored even when gamma = 0 (b_t = 0).
+    """
     require_normalization(system, ROWS_NORMALIZED, "prepare_Y")
     m, n = state.layout.ancillas, state.layout.data_dim
     if m != ancillas(classical.ROW, state.k):
         raise UsageError(f"iterate state at k={state.k} has {m} ancillas, expected 3k+2")
     beta, gamma = row_mixing(state.v, system.rhs_entry(t))
-    vec = np.zeros(2 * state.vec.size)
-    vec[: state.vec.size] = beta * state.vec
-    vec[state.vec.size : state.vec.size + n] = gamma * system.row(t)
-    return SimState(vec, RegisterLayout(m + 1, n), state.k, state.v)
+    vec = np.empty((state.keys.size + 1, n))
+    np.multiply(state.vec, beta, out=vec[:-1])
+    np.multiply(system.row(t), gamma, out=vec[-1])
+    return SimState(_prepared_keys(state.keys, m), vec, RegisterLayout(m + 1, n), state.k, state.v)
+
+
+def _row_route(keys: np.ndarray, k: int, operator) -> _Route:
+    """Route of one row iteration on the keys of a state prepared at step k:
+    SWAP(1, m-1), the block operator on the last pair, then parking."""
+    _check_key_width(classical.ROW, k)
+    m = ancillas(classical.ROW, k) + 1
+    return _parked(_route(_swap_keys(keys, m, 1, m - 1), _pattern(operator.matrix, 4)), m)
+
+
+def _row_finish(prepared: SimState, system: LinearSystem, t: int, operator,
+                route: _Route) -> SimState:
+    m, n = prepared.layout.ancillas, prepared.layout.data_dim
+    vec = _apply_routed(route, prepared.vec, operator.matrix)
+    v_next = next_denominator(classical.ROW, prepared.v, system, t)
+    return SimState(route.keys, vec, RegisterLayout(m + 2, n), prepared.k + 1, v_next)
 
 
 def apply_row_iteration(state: SimState, system: LinearSystem, t: int, lam: float) -> SimState:
@@ -232,22 +322,16 @@ def apply_row_iteration(state: SimState, system: LinearSystem, t: int, lam: floa
 
     SWAP(1, m-1) routes the fresh-row branch onto the |10> ancilla pair,
     the block operator turns the pair into the relaxed update, and
-    ``_park`` moves the used ancillas to the front beside a fresh pair,
+    parking moves the used ancillas to the front beside a fresh pair,
     leaving a valid iterate state with 3(k+1)+2 ancillas.
     """
     require_normalization(system, ROWS_NORMALIZED, "apply_row_iteration")
     k = state.k
-    m, n = state.layout.ancillas, state.layout.data_dim
+    m = state.layout.ancillas
     if m != ancillas(classical.ROW, k) + 1:
         raise UsageError(f"prepared state at k={k} has {m} ancillas, expected 3k+3")
     operator = row_unitary(system.row(t), lam)
-
-    vec = _swap_qubits(state.vec, m, n, 1, m - 1)
-    vec = _apply_tail_operator(vec, operator.matrix)
-    vec = _park(n, {0: vec})
-
-    v_next = next_denominator(classical.ROW, state.v, system, t)
-    return SimState(vec, RegisterLayout(m + 2, n), k + 1, v_next)
+    return _row_finish(state, system, t, operator, _row_route(state.keys, k, operator))
 
 
 # --- column algorithm -------------------------------------------------------
@@ -307,11 +391,15 @@ def apply_column_iteration(
     """One column iteration: returns (new iterate state, new residual state).
 
     The iterate register mixes with the prep-rotated residual register on
-    a fresh ancilla pair that ``_park`` seats next to the data register,
-    the routing operator moves omega*(c_t.r) onto the partner branch, and
-    the plane rotation folds it into the good branch. The residual
-    register is contracted independently by its own block operator.
+    a fresh ancilla pair seated next to the data register, the routing
+    operator moves omega*(c_t.r) onto the partner branch, and the plane
+    rotation folds it into the good branch. The residual register is
+    contracted independently by its own block operator.
     """
+    return _column_iteration(x_state, r_state, system, t, omega, delta, mem_limit=None)
+
+
+def _column_iteration(x_state, r_state, system, t, omega, delta, mem_limit):
     require_normalization(system, COLUMNS_NORMALIZED, "apply_column_iteration")
     k = x_state.k
     if r_state.k != k:
@@ -319,32 +407,66 @@ def apply_column_iteration(
     m, n = x_state.layout.ancillas, x_state.layout.data_dim
     if not m == r_state.layout.ancillas == ancillas(classical.COLUMN, k):
         raise UsageError(f"expected 2(k+1) ancillas on both registers at k={k}")
+    _check_key_width(classical.COLUMN, k)
     column = system.column(t)
     beta, gamma = column_mixing(x_state.v, delta)
+    prep = state_prep_col(column, t).matrix
+    update = column_update_unitary(t, omega, n).matrix
+    rotation = givens(GivensParams(beta, gamma)).matrix
+    contraction = column_residual_unitary(column, omega).matrix
 
-    rotated_r = _apply_tail_operator(r_state.vec, state_prep_col(column, t).matrix)
-    # |00> carries the iterate, |10> the rotated residual.
-    psi = _park(n, {0: beta * x_state.vec, 2: gamma * rotated_r})
-    psi = _apply_tail_operator(psi, column_update_unitary(t, omega, n).matrix)
-    psi = _apply_last_qubit(psi, n, givens(GivensParams(beta, gamma)).matrix)
+    # |00> carries the iterate, |10> the rotated residual; the rotation on
+    # the last qubit mixes slots (0, 1) and (2, 3) of each group.
+    mixed = np.concatenate([_park_keys(x_state.keys, m, 0), _park_keys(r_state.keys, m, 2)])
+    x_route = _route(mixed, _pattern(update, 4), np.kron(np.eye(2, dtype=bool), rotation != 0))
+    r_route = _parked(_route(r_state.keys, _pattern(contraction, 4)), m)
+    if mem_limit is not None:
+        live = x_state.keys.size + r_state.keys.size
+        operators = (prep, update, rotation, contraction)
+        _guard_memory(k, n, live, (x_route, r_route), operators, mem_limit)
+
+    psi = _gather(x_route, n, x_state.vec, r_state.vec @ prep.T)
+    psi[:, 0] *= beta
+    psi[:, 2] *= gamma
+    psi = (psi.reshape(x_route.rows, -1) @ update.T).reshape(x_route.rows, 2, 2, n)
+    psi = rotation @ psi
     v_next = next_denominator(classical.COLUMN, x_state.v, system, t, delta)
-    x_next = SimState(psi, RegisterLayout(m + 2, n), k + 1, v_next)
-
-    r_vec = _apply_tail_operator(r_state.vec, column_residual_unitary(column, omega).matrix)
-    return x_next, SimState(_park(n, {0: r_vec}), RegisterLayout(m + 2, n), k + 1, 1.0)
+    x_next = SimState(x_route.keys, psi.reshape(-1, n)[x_route.keep],
+                      RegisterLayout(m + 2, n), k + 1, v_next)
+    del psi  # the grid goes before the residual register's buffers exist
+    r_vec = _apply_routed(r_route, r_state.vec, contraction)
+    return x_next, SimState(r_route.keys, r_vec, RegisterLayout(m + 2, n), k + 1, 1.0)
 
 
 # --- full runs ----------------------------------------------------------------
 
 
-def _guard_memory(k: int, peak_ancillas: int, n: int, mem_limit: int) -> None:
-    required = (1 << peak_ancillas) * n * _FLOAT_BYTES
+def _check_key_width(direction: str, k: int) -> None:
+    """Raise before iteration k+1 would need more ancillas than a key holds."""
+    width = ancillas(direction, k + 1)
+    if width > KEY_BITS:
+        raise KeyWidthError(k, width, KEY_BITS)
+
+
+def _guard_memory(k: int, n: int, live: int, routes, operators, mem_limit: int) -> None:
+    """Raise ResourceError when one iteration's predicted peak is over the limit.
+
+    Called with the routes of the iteration, before any of its blocks
+    exist. The prediction counts the ``live`` input blocks, the largest
+    gather buffer twice (it coexists with the operator output) and the
+    new blocks of every route, each block row with ``_INDEX_WORDS`` int64
+    words of keys and indices beside it, plus the operator matrices.
+    """
+    gather = max(route.rows * route.slots for route in routes)
+    new = sum(route.keys.size for route in routes)
+    words = (live + 2 * gather + new) * (n + _INDEX_WORDS) + sum(op.size for op in operators)
+    required = words * _FLOAT_BYTES
     if required > mem_limit:
         raise ResourceError(k, required, mem_limit)
 
 
-class _DenseTracker:
-    """Tracker for ``classical._drive`` that steps a dense iterate
+class _Tracker:
+    """Tracker for ``classical._drive`` that steps a simulated iterate
     register ``state`` ahead of the classical shadow iterate.
 
     Convergence is detected on the shadow (repeatedly measuring the
@@ -365,20 +487,23 @@ class _DenseTracker:
         return amplitude, amplitude * amplitude, fidelity
 
 
-class _RowTracker(_DenseTracker):
+class _RowTracker(_Tracker):
     def __init__(self, system: LinearSystem, x0: np.ndarray, mem_limit: int):
         self.system, self.mem_limit = system, mem_limit
         self.state = assert_normalized(init_row_state(x0))
 
     def advance(self, k: int, t: int, lam: float) -> None:
         check_domain(lam, QUANTUM, k)
-        _guard_memory(k, ancillas(classical.ROW, k + 1), self.system.n, self.mem_limit)
+        operator = row_unitary(self.system.row(t), lam)
+        keys = _prepared_keys(self.state.keys, self.state.layout.ancillas)
+        route = _row_route(keys, k, operator)
+        _guard_memory(k, self.system.n, keys.size, (route,), (operator.matrix,), self.mem_limit)
         # Rebinding self.state drops each input as soon as its successor exists.
         self.state = assert_normalized(prepare_Y(self.state, self.system, t))
-        self.state = assert_normalized(apply_row_iteration(self.state, self.system, t, lam))
+        self.state = assert_normalized(_row_finish(self.state, self.system, t, operator, route))
 
 
-class _ColumnTracker(_DenseTracker):
+class _ColumnTracker(_Tracker):
     def __init__(self, system: LinearSystem, x0: np.ndarray, mem_limit: int):
         self.system, self.mem_limit = system, mem_limit
         init = init_column_states(x0, system)
@@ -388,9 +513,8 @@ class _ColumnTracker(_DenseTracker):
         if self.r_state is None:
             raise UsageError("x0 already solves the system; the residual register is empty")
         check_domain(omega, QUANTUM, k)
-        _guard_memory(k, ancillas(classical.COLUMN, k + 1), self.system.n, self.mem_limit)
-        self.state, self.r_state = apply_column_iteration(
-            self.state, self.r_state, self.system, t, omega, self.delta
+        self.state, self.r_state = _column_iteration(
+            self.state, self.r_state, self.system, t, omega, self.delta, self.mem_limit
         )
         assert_normalized(self.state)
         assert_normalized(self.r_state)

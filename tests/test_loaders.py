@@ -276,3 +276,28 @@ def test_rhs_file_is_refused_for_formats_that_carry_b(tmp_path, fmt):
     source = str(path) if fmt == "csv" else "1,0; 0,1 | 1,0"
     with pytest.raises(UsageError, match="--rhs is for matrixmarket"):
         load_system(source, fmt, rhs=str(rhs))
+
+
+@pytest.mark.parametrize("bad", ["a.mtx", "b.mtx"])
+def test_matrix_market_parse_error_names_its_file(tmp_path, bad):
+    header = "%%MatrixMarket matrix array real general\n"
+    comments = "% first comment\n% second comment\n"
+    texts = {"a.mtx": header + "2 2\n1\n0\n0\n1\n", "b.mtx": header + "2 1\n1\n0\n"}
+    # The bad value 'x' sits on line 6 of either file.
+    texts[bad] = {
+        "a.mtx": header + comments + "2 2\n1.0\nx\n0\n1\n",
+        "b.mtx": header + comments + "2 1\n1.0\nx\n",
+    }[bad]
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError) as excinfo:
+        load_system(str(tmp_path / "a.mtx"), "matrixmarket", rhs=str(tmp_path / "b.mtx"))
+    assert str(excinfo.value) == f"{tmp_path / bad}: line 6: not a number: 'x'"
+    assert excinfo.value.line == 6
+
+
+def test_matrix_market_header_only_rhs_names_its_file(tmp_path):
+    rhs = tmp_path / "b.mtx"
+    with pytest.raises(ParseError) as excinfo:
+        _load_mm_rhs(tmp_path, "%%MatrixMarket matrix array real general\n")
+    assert str(excinfo.value) == f"{rhs}: missing size line"

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dense_oracle as dense
+from dense_oracle import densify, sparsify
 from helpers import random_consistent, random_unit, unit_residual_system
 from qrelax import branch, classical, statevector as sv
-from qrelax.errors import DomainError, InvariantViolation, ResourceError, UsageError
+from qrelax.errors import DomainError, InvariantViolation, KeyWidthError, ResourceError, UsageError
 from qrelax.report import CONVERGED, MAX_STEPS
 from qrelax.schedules import QUANTUM, RelaxationSchedule, SelectionStrategy
 from qrelax.system import LinearSystem, normalize_columns, normalize_rows
@@ -19,20 +22,21 @@ R2 = math.sqrt(2.0)
 
 def test_init_row_state_basis_vectors():
     state = sv.init_row_state(np.array([1.0, 0.0]))
-    assert state.vec.size == 8
-    assert state.vec[0] == 1.0
-    assert np.count_nonzero(state.vec) == 1
+    vec = densify(state)
+    assert vec.size == 8
+    assert vec[0] == 1.0
+    assert np.count_nonzero(vec) == 1
     assert state.layout.ancillas == 2 and state.v == 1.0
 
-    state2 = sv.init_row_state(np.array([0.0, 1.0]))
-    assert state2.vec[1] == 1.0
-    assert np.count_nonzero(state2.vec) == 1
+    vec2 = densify(sv.init_row_state(np.array([0.0, 1.0])))
+    assert vec2[1] == 1.0
+    assert np.count_nonzero(vec2) == 1
 
 
 def test_init_row_state_general_unit_vector():
     state = sv.init_row_state(np.array([0.6, 0.8]))
     assert state.norm == pytest.approx(1.0)
-    assert np.count_nonzero(state.vec) == 2
+    assert np.count_nonzero(densify(state)) == 2
 
 
 def test_init_row_state_rejects_non_unit():
@@ -48,9 +52,10 @@ def test_prepare_Y_mixing_weights(row_case):
     system, x0, _ = row_case
     state = sv.init_row_state(x0)
     prepared = sv.prepare_Y(state, system, 1)
-    half = prepared.vec.size // 2
-    beta = np.linalg.norm(prepared.vec[:half])
-    gamma = np.linalg.norm(prepared.vec[half:])
+    vec = densify(prepared)
+    half = vec.size // 2
+    beta = np.linalg.norm(vec[:half])
+    gamma = np.linalg.norm(vec[half:])
     assert beta == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert gamma == pytest.approx(2 * R2 / 3.0, abs=1e-14)
     assert prepared.norm == pytest.approx(1.0, abs=1e-12)
@@ -61,8 +66,8 @@ def test_prepare_Y_second_iteration_weight(row_case):
     system, x0, steps = row_case
     state = sv.init_row_state(x0)
     state = sv.apply_row_iteration(sv.prepare_Y(state, system, 1), system, *steps[0])
-    prepared = sv.prepare_Y(state, system, 2)
-    beta = np.linalg.norm(prepared.vec[: prepared.vec.size // 2])
+    vec = densify(sv.prepare_Y(state, system, 2))
+    beta = np.linalg.norm(vec[: vec.size // 2])
     assert beta == pytest.approx(3.0 / math.sqrt(11.0), abs=1e-14)
 
 
@@ -70,10 +75,10 @@ def test_prepare_Y_zero_rhs_entry_keeps_state(row_case):
     system, _, _ = row_case
     zero_rhs = LinearSystem(system.matrix, np.zeros(2), system.normalization, system.scale)
     state = sv.init_row_state(np.array([0.0, 1.0]))
-    prepared = sv.prepare_Y(state, zero_rhs, 1)
-    half = prepared.vec.size // 2
-    assert_allclose(prepared.vec[:half], state.vec)
-    assert_allclose(prepared.vec[half:], np.zeros(half))
+    vec = densify(sv.prepare_Y(state, zero_rhs, 1))
+    half = vec.size // 2
+    assert_allclose(vec[:half], densify(state))
+    assert_allclose(vec[half:], np.zeros(half))
 
 
 def test_row_mixing_signed_gamma():
@@ -133,9 +138,9 @@ def test_extract_good_branch_initial_and_zeroed(row_case):
     assert amp == pytest.approx(1.0)
     assert_allclose(direction, x0)
 
-    hollow = np.array(state.vec)
+    hollow = densify(state)
     hollow[:2] = 0.0
-    zeroed = sv.SimState(hollow, state.layout, state.k, state.v)
+    zeroed = sparsify(hollow, state.layout, state.k, state.v)
     amp, direction = sv.extract_good_branch(zeroed)
     assert amp == 0.0
     assert_allclose(direction, np.zeros(2))
@@ -315,14 +320,20 @@ def test_run_algorithm1_memory_guard(rng):
         )
     err = excinfo.value
     assert err.k >= 1
-    assert err.required_bytes == (1 << (3 * err.k + 5)) * 3 * 8
+    # Row iteration k at 0 < lam < 1 stores 3^k keys and gathers them into
+    # 3^k groups; the guard counts the prepared input, the gather buffer
+    # twice and the new blocks, three index words beside each n=3 block,
+    # and the 4n x 4n operator.
+    k = err.k
+    blocks = (3**k + 1) + 2 * 4 * 3**k + 3 ** (k + 1)
+    assert err.required_bytes == (blocks * (3 + 3) + 12 * 12) * 8
     assert err.required_bytes > 4000
 
 
 def test_norm_drift_detection(row_case):
     system, x0, _ = row_case
     state = sv.init_row_state(x0)
-    bad = sv.SimState(state.vec * 1.5, state.layout, state.k, state.v)
+    bad = sparsify(densify(state) * 1.5, state.layout, state.k, state.v)
     with pytest.raises(InvariantViolation):
         sv.assert_normalized(bad)
 
@@ -377,16 +388,19 @@ def test_junk_isolation_row(row_case):
     system, x0, steps = row_case
     state = sv.init_row_state(x0)
     state = sv.apply_row_iteration(sv.prepare_Y(state, system, steps[0][0]), system, *steps[0])
-    assert np.linalg.norm(state.vec[2:]) > 1e-3  # junk really present
+    vec = densify(state)
+    assert np.linalg.norm(vec[2:]) > 1e-3  # junk really present
 
-    truncated_vec = np.zeros_like(state.vec)
-    truncated_vec[:2] = state.vec[:2]
-    truncated = sv.SimState(truncated_vec, state.layout, state.k, state.v)
+    truncated_vec = np.zeros_like(vec)
+    truncated_vec[:2] = vec[:2]
+    truncated = sparsify(truncated_vec, state.layout, state.k, state.v)
 
     t, lam = steps[1]
-    full_next = sv.apply_row_iteration(sv.prepare_Y(state, system, t), system, t, lam)
-    trunc_next = sv.apply_row_iteration(sv.prepare_Y(truncated, system, t), system, t, lam)
-    assert np.max(np.abs(full_next.vec[:2] - trunc_next.vec[:2])) <= 1e-12
+    full_next = densify(sv.apply_row_iteration(sv.prepare_Y(state, system, t), system, t, lam))
+    trunc_next = densify(
+        sv.apply_row_iteration(sv.prepare_Y(truncated, system, t), system, t, lam)
+    )
+    assert np.max(np.abs(full_next[:2] - trunc_next[:2])) <= 1e-12
 
 
 def test_junk_isolation_column(column_case):
@@ -395,16 +409,17 @@ def test_junk_isolation_column(column_case):
     x_state, r_state = sv.apply_column_iteration(
         init.x_state, init.r_state, system, *steps[0], init.delta
     )
-    assert np.linalg.norm(x_state.vec[2:]) > 1e-3
+    vec = densify(x_state)
+    assert np.linalg.norm(vec[2:]) > 1e-3
 
-    trunc_vec = np.zeros_like(x_state.vec)
-    trunc_vec[:2] = x_state.vec[:2]
-    truncated = sv.SimState(trunc_vec, x_state.layout, x_state.k, x_state.v)
+    trunc_vec = np.zeros_like(vec)
+    trunc_vec[:2] = vec[:2]
+    truncated = sparsify(trunc_vec, x_state.layout, x_state.k, x_state.v)
 
     t, omega = steps[1]
     full_x, _ = sv.apply_column_iteration(x_state, r_state, system, t, omega, init.delta)
     trunc_x, _ = sv.apply_column_iteration(truncated, r_state, system, t, omega, init.delta)
-    assert np.max(np.abs(full_x.vec[:2] - trunc_x.vec[:2])) <= 1e-12
+    assert np.max(np.abs(densify(full_x)[:2] - densify(trunc_x)[:2])) <= 1e-12
 
 
 def test_norm_preserved_through_operations(rng):
@@ -469,31 +484,31 @@ def test_swap_matches_dense_permutation_operator(rng):
     m, n = 3, 2
     dim = (1 << m) * n
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        dense = np.zeros((dim, dim))
+        oracle = np.zeros((dim, dim))
         for anc in range(1 << m):
             bits = [(anc >> (m - 1 - q)) & 1 for q in range(m)]
             bits[i - 1], bits[j - 1] = bits[j - 1], bits[i - 1]
             target = sum(b << (m - 1 - q) for q, b in enumerate(bits))
             for d in range(n):
-                dense[target * n + d, anc * n + d] = 1.0
+                oracle[target * n + d, anc * n + d] = 1.0
         vec = rng.normal(size=dim)
-        assert_allclose(sv._swap_qubits(vec, m, n, i, j), dense @ vec, atol=1e-15)
+        assert_allclose(dense._swap_qubits(vec, m, n, i, j), oracle @ vec, atol=1e-15)
 
 
 def test_tail_and_last_qubit_operators_match_kron_oracle(rng):
     m, n = 3, 2
     vec = rng.normal(size=(1 << m) * n)
     four_block = rng.normal(size=(4 * n, 4 * n))
-    dense = np.kron(np.eye(1 << (m - 2)), four_block)
-    assert_allclose(sv._apply_tail_operator(vec, four_block), dense @ vec, atol=1e-13)
+    oracle = np.kron(np.eye(1 << (m - 2)), four_block)
+    assert_allclose(dense._apply_tail_operator(vec, four_block), oracle @ vec, atol=1e-13)
 
     single = rng.normal(size=(2, 2))
-    dense = np.kron(np.eye(1 << (m - 1)), np.kron(single, np.eye(n)))
-    assert_allclose(sv._apply_last_qubit(vec, n, single), dense @ vec, atol=1e-13)
+    oracle = np.kron(np.eye(1 << (m - 1)), np.kron(single, np.eye(n)))
+    assert_allclose(dense._apply_last_qubit(vec, n, single), oracle @ vec, atol=1e-13)
 
     data_op = rng.normal(size=(n, n))
-    dense = np.kron(np.eye(1 << m), data_op)
-    assert_allclose(sv._apply_tail_operator(vec, data_op), dense @ vec, atol=1e-13)
+    oracle = np.kron(np.eye(1 << m), data_op)
+    assert_allclose(dense._apply_tail_operator(vec, data_op), oracle @ vec, atol=1e-13)
 
 
 def _pad_then_swap(n, m, parts):
@@ -503,8 +518,8 @@ def _pad_then_swap(n, m, parts):
     padded = np.zeros(4 * size)
     for slot, vec in parts.items():
         padded[slot * size : (slot + 1) * size] = vec
-    padded = sv._swap_qubits(padded, m + 2, n, 1, m + 1)
-    return sv._swap_qubits(padded, m + 2, n, 2, m + 2)
+    padded = dense._swap_qubits(padded, m + 2, n, 1, m + 1)
+    return dense._swap_qubits(padded, m + 2, n, 2, m + 2)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -513,7 +528,7 @@ def test_park_equals_pad_then_two_swaps(rng, m, n):
     vec, other = rng.normal(size=(2, (1 << m) * n))
     cases = [{slot: vec} for slot in range(4)] + [{0: vec, 2: other}]
     for parts in cases:
-        parked = sv._park(n, parts)
+        parked = dense._park(n, parts)
         assert parked.shape == ((1 << (m + 2)) * n,)
         assert np.array_equal(parked, _pad_then_swap(n, m, parts))
 
@@ -527,3 +542,219 @@ def test_state_dump_lists_nonzero_amplitudes(row_case):
     lines = state.dump().splitlines()
     assert all(len(line.split()) == 3 for line in lines)
     assert all(len(line.split()[0]) == 5 for line in lines)
+
+
+# --- the sparse engine against the dense oracle ----------------------------------
+
+
+def _sparse_state(rng, m, n, count):
+    keys = np.sort(rng.choice(1 << m, size=count, replace=False)).astype(np.int64)
+    return sv.SimState(keys, rng.normal(size=(count, n)), sv.RegisterLayout(m, n), 0, 1.0)
+
+
+def test_sparse_kernels_match_dense_helpers(rng):
+    m, n = 5, 3
+    state = _sparse_state(rng, m, n, 11)
+    vec = densify(state)
+    for i, j in ((1, 4), (2, 5), (3, 3)):
+        keys = sv._swap_keys(state.keys, m, i, j)
+        order = np.argsort(keys)
+        swapped = sv.SimState(keys[order], state.vec[order], state.layout, 0, 1.0)
+        assert np.array_equal(densify(swapped), dense._swap_qubits(vec, m, n, i, j))
+
+    four_block = rng.normal(size=(4 * n, 4 * n))
+    four_block[:n, 2 * n : 3 * n] = 0.0  # a zero block feeds nothing
+    route = sv._route(state.keys, sv._pattern(four_block, 4))
+    occupied = {}
+    for key in state.keys.tolist():
+        occupied.setdefault(key >> 2, set()).add(key & 3)
+    # Slot 0 is fed unless its group holds slot 2 alone.
+    assert route.keys.size == sum(3 if slots == {2} else 4 for slots in occupied.values())
+    out = sv.SimState(route.keys, sv._apply_routed(route, state.vec, four_block),
+                      state.layout, 0, 1.0)
+    assert_allclose(densify(out), dense._apply_tail_operator(vec, four_block), atol=1e-13)
+
+    for slot in range(4):
+        keys = sv._park_keys(state.keys, m, slot)
+        order = np.argsort(keys)
+        parked = sv.SimState(keys[order], state.vec[order], sv.RegisterLayout(m + 2, n), 0, 1.0)
+        assert np.array_equal(densify(parked), dense._park(n, {slot: vec}))
+
+
+def _lockstep(direction, strategy, value, steps=5):
+    # A seeded n=3 system stepped by the sparse engine and the dense
+    # oracle on the trajectory of a sparse run; yields (sparse, dense)
+    # register pairs after every iteration.
+    rng = np.random.default_rng(7)
+    system = random_consistent(rng, 3)[0]
+    x0 = random_unit(rng, 3)
+    schedule = RelaxationSchedule.constant(value, QUANTUM)
+    if direction == classical.ROW:
+        system = normalize_rows(system)
+        report, _ = sv.run_algorithm1(system, x0, schedule, strategy, steps, tol=0.0)
+        state, oracle = sv.init_row_state(x0), dense.init_row_state(x0)
+        for rec in report.records[1:]:
+            state = sv.apply_row_iteration(sv.prepare_Y(state, system, rec.t), system,
+                                           rec.t, rec.relaxation)
+            oracle = dense.apply_row_iteration(dense.prepare_Y(oracle, system, rec.t), system,
+                                               rec.t, rec.relaxation)
+            yield [(state, oracle)]
+        return
+    system = normalize_columns(system)
+    report, _, _ = sv.run_algorithm2(system, x0, schedule, strategy, steps, tol=0.0)
+    init = sv.init_column_states(x0, system)
+    x_state, r_state = init.x_state, init.r_state
+    x_oracle, r_oracle, delta = dense.init_column_states(x0, system)
+    for rec in report.records[1:]:
+        x_state, r_state = sv.apply_column_iteration(
+            x_state, r_state, system, rec.t, rec.relaxation, init.delta
+        )
+        x_oracle, r_oracle = dense.apply_column_iteration(
+            x_oracle, r_oracle, system, rec.t, rec.relaxation, delta
+        )
+        yield [(x_state, x_oracle), (r_state, r_oracle)]
+
+
+@pytest.mark.parametrize("value", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("strategy", [SelectionStrategy.cyclic(),
+                                      SelectionStrategy.random_uniform(11)],
+                         ids=["cyclic", "random"])
+@pytest.mark.parametrize("direction", [classical.ROW, classical.COLUMN])
+def test_sparse_run_densified_equals_dense_oracle(direction, strategy, value):
+    steps = 0
+    for registers in _lockstep(direction, strategy, value):
+        steps += 1
+        for state, oracle in registers:
+            assert state.layout.ancillas == oracle.ancillas
+            vec = densify(state)
+            assert np.max(np.abs(vec - oracle.vec)) <= 1e-15
+            assert state.dump() == dense.dump(vec, oracle.ancillas, state.layout.data_dim)
+    assert steps == 5
+
+
+@pytest.mark.parametrize("direction", [classical.ROW, classical.COLUMN])
+def test_sparse_run_records_match_dense_run(rng, direction):
+    system = random_consistent(rng, 3)[0]
+    x0 = random_unit(rng, 3)
+    schedule = RelaxationSchedule.constant(0.75, QUANTUM)
+    if direction == classical.ROW:
+        system, runs = normalize_rows(system), (sv.run_algorithm1, dense.run_algorithm1)
+    else:
+        system, runs = normalize_columns(system), (sv.run_algorithm2, dense.run_algorithm2)
+    args = (system, x0, schedule, SelectionStrategy.random_uniform(5), 5)
+    (sparse_report, *states), (dense_report, *oracles) = (run(*args, tol=0.0) for run in runs)
+    for a, b in zip(sparse_report.records, dense_report.records, strict=True):
+        assert a.t == b.t
+        assert abs(a.amplitude - b.amplitude) <= 1e-15
+        assert abs(a.fidelity - b.fidelity) <= 1e-15
+    for state, oracle in zip(states, oracles, strict=True):
+        assert np.max(np.abs(densify(state) - oracle.vec)) <= 1e-15
+
+
+def test_zero_rhs_entry_still_adds_its_key(row_case):
+    system, _, _ = row_case
+    zero_rhs = LinearSystem(system.matrix, np.zeros(2), system.normalization, system.scale)
+    state = sv.init_row_state(np.array([0.0, 1.0]))
+    prepared = sv.prepare_Y(state, zero_rhs, 1)
+    assert prepared.keys.tolist() == [0, 1 << 2]
+    assert np.array_equal(prepared.vec[1], [0.0, 0.0])
+    # The zero block still feeds three slots of its pair.
+    assert sv.apply_row_iteration(prepared, zero_rhs, 1, 0.5).keys.size == 3
+
+
+def _deep_system(rng, direction):
+    system = random_consistent(rng, 8, cond=10.0)[0]
+    return normalize_rows(system) if direction == classical.ROW else normalize_columns(system)
+
+
+@pytest.mark.parametrize("direction, depth", [(classical.ROW, 10), (classical.COLUMN, 11)])
+def test_deep_runs_fit_the_default_limit(rng, direction, depth):
+    # Depths the dense engine cannot reach under the default limit.
+    system = _deep_system(rng, direction)
+    x0 = np.eye(8)[0]
+    schedule = RelaxationSchedule.constant(0.5, QUANTUM)
+    strategy = SelectionStrategy.random_uniform(3)
+    if direction == classical.ROW:
+        report, _ = sv.run_algorithm1(system, x0, schedule, strategy, depth, tol=0.0)
+        state = branch.init_row_branch(x0)
+        step = branch.row_branch_step
+    else:
+        report, _, _ = sv.run_algorithm2(system, x0, schedule, strategy, depth, tol=0.0)
+        state = branch.init_column_branch(x0, system)
+        step = branch.column_branch_step
+    assert report.steps_taken == depth
+    for rec in report.records[1:]:
+        state = step(state, system, rec.t, rec.relaxation)
+        assert abs(rec.amplitude - state.amplitude) <= 1e-9
+
+    # The dense engine's guard stops the same run before its last iteration.
+    with pytest.raises(ResourceError):
+        dense.guard(depth - 1, direction, system.n, sv.DEFAULT_MEM_LIMIT)
+
+
+def _traced_peak(tracker, advance):
+    # Peak traced bytes of ``advance``, counting the tracker's input
+    # registers (copied while tracing) as the guard does.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for name in ("state", "r_state"):
+            if hasattr(tracker, name):
+                s = getattr(tracker, name)
+                setattr(tracker, name, sv.SimState(s.keys.copy(), s.vec.copy(), s.layout, s.k, s.v))
+        tracemalloc.reset_peak()
+        advance(tracker)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("tracker_class", [sv._RowTracker, sv._ColumnTracker])
+def test_memory_guard_bounds_traced_peak(rng, tracker_class):
+    k, value = 6, 0.7
+    direction = classical.ROW if tracker_class is sv._RowTracker else classical.COLUMN
+    system = _deep_system(rng, direction)
+    x0 = random_unit(rng, 8)
+    ts = [int(t) for t in rng.integers(1, 9, size=k + 1)]
+
+    def at_k(mem_limit):
+        tracker = tracker_class(system, x0, sv.DEFAULT_MEM_LIMIT)
+        for j in range(k):
+            tracker.advance(j, ts[j], value)
+        tracker.mem_limit = mem_limit
+        return tracker
+
+    tracker = at_k(mem_limit=0)
+    with pytest.raises(ResourceError) as excinfo:
+        tracker.advance(k, ts[k], value)
+    predicted = excinfo.value.required_bytes
+    peak = _traced_peak(at_k(sv.DEFAULT_MEM_LIMIT), lambda tr: tr.advance(k, ts[k], value))
+    assert peak <= predicted <= 4 * peak
+
+
+def test_key_width_stops_registers_at_62_ancillas(row_case, column_case):
+    system, _, _ = row_case
+    for k, fits in ((19, True), (20, False)):
+        m = sv.ancillas(classical.ROW, k)
+        state = sv.SimState(np.zeros(1, dtype=np.int64), np.array([[1.0, 0.0]]),
+                            sv.RegisterLayout(m, 2), k, 1.0)
+        prepared = sv.prepare_Y(state, system, 1)
+        if fits:
+            nxt = sv.apply_row_iteration(prepared, system, 1, 0.5)
+            assert nxt.layout.ancillas == sv.KEY_BITS and nxt.keys[-1] < 1 << sv.KEY_BITS
+        else:
+            with pytest.raises(KeyWidthError, match="62-bit ancilla key width"):
+                sv.apply_row_iteration(prepared, system, 1, 0.5)
+
+    system, x0, _ = column_case
+    init = sv.init_column_states(x0, system)
+    for k, fits in ((29, True), (30, False)):
+        layout = sv.RegisterLayout(sv.ancillas(classical.COLUMN, k), 2)
+        x_state, r_state = (sv.SimState(s.keys, s.vec, layout, k, s.v)
+                            for s in (init.x_state, init.r_state))
+        if fits:
+            nxt, _ = sv.apply_column_iteration(x_state, r_state, system, 1, 0.5, init.delta)
+            assert nxt.layout.ancillas == sv.KEY_BITS
+        else:
+            with pytest.raises(ResourceError, match="key width"):
+                sv.apply_column_iteration(x_state, r_state, system, 1, 0.5, init.delta)
