@@ -108,7 +108,7 @@ def run_branch(
     tol: float = 1e-10,
 ) -> RunReport:
     """Compressed run with the same record schema as the statevector runs."""
-    report, _ = classical._drive(
-        system, x0, schedule, strategy, max_steps, mode, tol, partial(_BranchTracker, mode)
+    reports, _ = classical._drive(
+        system, x0, [schedule], strategy, max_steps, mode, tol, partial(_BranchTracker, mode)
     )
-    return report
+    return reports[0]

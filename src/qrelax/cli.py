@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .encodings import (
     state_prep_row,
     verify_unitary,
 )
-from .errors import QrelaxError, UsageError
+from .errors import DomainError, QrelaxError, UsageError
 from .loaders import FORMATS, load_system
 from .report import CONVERGED, RunReport
 from .schedules import CLASSICAL, QUANTUM, RelaxationSchedule, SelectionStrategy
@@ -355,15 +356,48 @@ def cmd_verify(trials: int = 1000, seed: int = 0, stdout=None) -> int:
     return EXIT_OK
 
 
+class _LastRecord(RunReport):
+    """A sweep lane's report: it keeps only the latest record, the one
+    row a sweep prints. Every lane's full stream held at once would
+    raise the sweep's peak memory."""
+
+    def append(self, record) -> None:
+        self.records[:] = [record]
+
+
 def cmd_sweep(config: RunConfig, grid: list[float], stdout=None) -> int:
-    """One solver run per relaxation value, in grid order; each lane's
-    schedule is constant at its value, in the domain of the engine."""
+    """One lane per relaxation value, output in grid order; each lane's
+    schedule is constant at its value, in the domain of the engine.
+
+    Classical and branch lanes run in lockstep in one ``_drive`` call.
+    Sim lanes run one at a time: the memory guard bounds one set of
+    registers, not one per lane. Either way the error raised is that of
+    the first failing lane in grid order, a value outside the domain
+    included.
+    """
     stdout = stdout or sys.stdout
     system, x0, base, strategy = _prepare(config)
-    lines = ["relaxation,status,steps,final_residual,final_success_probability"]
+    engine, _, direction = config.mode.partition("-")
+    schedules, bad_value = [], None
     for value in grid:
-        schedule = RelaxationSchedule.constant(value, base.domain)
-        report, _ = _execute(config, system, x0, schedule, strategy)
+        try:
+            schedules.append(RelaxationSchedule.constant(value, base.domain))
+        except DomainError as exc:
+            bad_value = exc
+            break
+    reports = []
+    if engine == "sim":
+        reports = [_execute(config, system, x0, schedule, strategy)[0] for schedule in schedules]
+    elif schedules:
+        track = None if engine == "classical" else partial(branch._BranchTracker, direction)
+        reports, _ = classical._drive(
+            system, x0, schedules, strategy, config.steps, direction, config.tol, track,
+            _LastRecord,
+        )
+    if bad_value is not None:
+        raise bad_value
+    lines = ["relaxation,status,steps,final_residual,final_success_probability"]
+    for value, report in zip(grid, reports):
         probability = report.final.success_probability
         lines.append(
             f"{value:g},{report.status},{report.steps_taken},{report.final.residual_norm:.12e},"
@@ -427,23 +461,35 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(_config_from_args(args))
-        if args.command == "reproduce-paper":
-            return cmd_reproduce_paper()
-        if args.command == "verify":
-            return cmd_verify(args.trials, args.seed)
-        if args.command == "sweep":
-            try:
-                grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-            except ValueError:
-                raise UsageError(f"cannot parse sweep grid {args.grid!r}") from None
-            if not grid:
-                raise UsageError("empty sweep grid")
-            return cmd_sweep(_config_from_args(args), grid)
+        code = _run_command(args)
+        # Flush here, so a reader that is gone shows up inside the try.
+        sys.stdout.flush()
     except QrelaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except BrokenPipeError:
+        # The reader of stdout closed it (``qrelax solve ... | head -1``).
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    return code
+
+
+def _run_command(args) -> int:
+    if args.command == "solve":
+        return cmd_solve(_config_from_args(args))
+    if args.command == "reproduce-paper":
+        return cmd_reproduce_paper()
+    if args.command == "verify":
+        return cmd_verify(args.trials, args.seed)
+    if args.command == "sweep":
+        try:
+            grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
+        except ValueError:
+            raise UsageError(f"cannot parse sweep grid {args.grid!r}") from None
+        if not grid:
+            raise UsageError("empty sweep grid")
+        return cmd_sweep(_config_from_args(args), grid)
     raise AssertionError("unreachable")
 
 

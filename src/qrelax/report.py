@@ -24,7 +24,7 @@ RECORD_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """State of the iterate after step k.
 

@@ -21,8 +21,10 @@ DECAYING = "decaying"
 
 
 def check_domain(value: float, domain: str, k=None) -> float:
+    """``value`` as a float; raises DomainError outside [lo, hi], nan and
+    the infinities included (every comparison with nan is false)."""
     lo, hi = DOMAIN_BOUNDS[domain]
-    if not (lo <= value <= hi) or not np.isfinite(value):
+    if not lo <= value <= hi:
         raise DomainError(value, domain, k)
     return float(value)
 

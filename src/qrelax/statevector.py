@@ -530,11 +530,11 @@ def run_algorithm1(
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
     """Full row-method simulation; returns (report, final state)."""
-    report, tracker = classical._drive(
-        system, x0, schedule, strategy, max_steps, classical.ROW, tol,
+    reports, (tracker,) = classical._drive(
+        system, x0, [schedule], strategy, max_steps, classical.ROW, tol,
         partial(_RowTracker, mem_limit=mem_limit),
     )
-    return report, tracker.state
+    return reports[0], tracker.state
 
 
 def run_algorithm2(
@@ -547,8 +547,8 @@ def run_algorithm2(
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
     """Full column-method simulation; returns (report, x state, r state)."""
-    report, tracker = classical._drive(
-        system, x0, schedule, strategy, max_steps, classical.COLUMN, tol,
+    reports, (tracker,) = classical._drive(
+        system, x0, [schedule], strategy, max_steps, classical.COLUMN, tol,
         partial(_ColumnTracker, mem_limit=mem_limit),
     )
-    return report, tracker.state, tracker.r_state
+    return reports[0], tracker.state, tracker.r_state

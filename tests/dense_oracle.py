@@ -208,17 +208,17 @@ class _ColumnTracker(_DenseTracker):
 
 def run_algorithm1(system, x0, schedule, strategy, max_steps, tol=1e-10,
                    mem_limit=sv.DEFAULT_MEM_LIMIT):
-    report, tracker = classical._drive(
-        system, x0, schedule, strategy, max_steps, classical.ROW, tol,
+    reports, (tracker,) = classical._drive(
+        system, x0, [schedule], strategy, max_steps, classical.ROW, tol,
         partial(_RowTracker, mem_limit=mem_limit),
     )
-    return report, tracker.state
+    return reports[0], tracker.state
 
 
 def run_algorithm2(system, x0, schedule, strategy, max_steps, tol=1e-10,
                    mem_limit=sv.DEFAULT_MEM_LIMIT):
-    report, tracker = classical._drive(
-        system, x0, schedule, strategy, max_steps, classical.COLUMN, tol,
+    reports, (tracker,) = classical._drive(
+        system, x0, [schedule], strategy, max_steps, classical.COLUMN, tol,
         partial(_ColumnTracker, mem_limit=mem_limit),
     )
-    return report, tracker.state, tracker.r_state
+    return reports[0], tracker.state, tracker.r_state

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -353,3 +356,19 @@ def test_solve_non_unit_x0_names_the_flag(mode, capsys):
     assert capsys.readouterr().err == (
         f"error: --x0 in {mode} mode needs a unit vector, got norm 2.0; normalize it\n"
     )
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--grid", "0.5,1.0"]])
+def test_closed_stdout_exits_quietly(command):
+    # The read end closes before the child writes, so its first write to
+    # stdout fails with EPIPE, whatever the size of the output.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qrelax.cli", *command, "--system", ROW_INLINE,
+         "--format", "inline", "--x0", "1,0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.path.normpath(src)},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (cli.EXIT_ERROR, b"")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -47,3 +48,16 @@ def test_json_lines_round_trip():
     assert len(lines) == 2
     parsed = json.loads(lines[1])
     assert parsed["k"] == 1 and parsed["error_norm"] == 0.1
+
+
+def test_step_record_is_frozen_and_compact():
+    record = make_record(3, t=2, relaxation=0.5, error_norm=0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.x_norm = 2.0
+    assert not hasattr(record, "__dict__")
+    assert record.to_dict() == {
+        "k": 3, "t": 2, "relaxation": 0.5, "x_norm": 1.0, "residual_norm": 0.5,
+        "error_norm": 0.1, "amplitude": None, "success_probability": None, "fidelity": None,
+    }
+    assert record == make_record(3, t=2, relaxation=0.5, error_norm=0.1)
+    assert record != make_record(3, t=2, relaxation=0.5, error_norm=0.2)

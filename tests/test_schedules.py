@@ -7,6 +7,7 @@ from qrelax.schedules import (
     QUANTUM,
     RelaxationSchedule,
     SelectionStrategy,
+    check_domain,
     relaxation_at,
     select_index,
 )
@@ -32,6 +33,20 @@ def test_negative_values_rejected_everywhere():
         RelaxationSchedule.constant(-0.1, CLASSICAL)
     with pytest.raises(DomainError):
         RelaxationSchedule.explicit([0.5, -0.2], QUANTUM)
+
+
+@pytest.mark.parametrize("domain", [CLASSICAL, QUANTUM])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_rejected_everywhere(domain, value):
+    builders = [
+        lambda: check_domain(value, domain),
+        lambda: RelaxationSchedule.constant(value, domain),
+        lambda: RelaxationSchedule.explicit([0.5, value], domain),
+        lambda: RelaxationSchedule.decaying(value, domain),
+    ]
+    for build in builders:
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_decaying_schedule_rule():
