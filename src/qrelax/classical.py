@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -129,18 +130,26 @@ def run_classical(
 
 
 def _dots(u, v):
-    """u[i] @ v[i] for each row i; a 1-D ``u`` stands for every row.
+    """u[..., i, :] @ v[..., i, :] for each row i; a 1-D ``u`` stands
+    for every row.
 
     Stacked 1 x n by n x 1 products are one BLAS dot per row, so each
     entry has the bits of the one-row product; ``u @ v.T`` (a gemm) and
     ``np.linalg.norm(u, axis=1)`` (a pairwise sum) do not.
     """
-    return np.matmul(u[..., None, :], v[:, :, None])[:, 0, 0]
+    return np.matmul(u[..., None, :], v[..., None])[..., 0, 0]
 
 
-def _products(matrix, v):
-    """matrix @ v[i] for each row i, one gemv per row."""
-    return np.matmul(matrix, v[:, :, None])[:, :, 0]
+def _products(matrix, v, out=None):
+    """matrix @ v[i] for each row i, one gemv per row; written to ``out`` if given."""
+    return np.matmul(matrix, v[:, :, None], out=None if out is None else out[:, :, None])[:, :, 0]
+
+
+# A chunk holds as many steps as fit this many bytes of iterates, and at
+# least one; its residuals and norms are one call each. At 32 KiB an
+# 8-lane sweep at n=50 ran as fast as at 64 KiB, and only 64 KiB raised
+# its peak memory.
+CHUNK_BYTES = 32 * 1024
 
 
 # _require_finite reports overflow; numpy's warnings would only precede it.
@@ -151,14 +160,31 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     lanes in lockstep; returns (reports, trackers), one of each per lane.
 
     The live lanes are the rows of one (lanes, n) block of iterates and
-    one of residuals. The loop owns these blocks, the greedy context (r
-    in row mode, A^T r in column mode; built only for greedy selection,
-    the one rule that reads it), index selection, the convergence test
-    and the records. Greedy selection picks t per lane; the other rules
-    pick one t per step for every lane. Each lane takes its relaxation
-    from its own schedule. Every block product is a BLAS call per row on
-    the operands of a one-lane run, so each lane's records and final x
-    are those of running its schedule alone, bit for bit.
+    one of residuals, and the loop runs them in chunks of steps, each in
+    four phases:
+
+    - plan: the index t and each lane's relaxation for up to C steps.
+      Cyclic, random and seq selection do not read the iterate, so they
+      plan ahead; greedy selection reads the residual (A^T r in column
+      mode) of every step, so its chunks are one step long. A selection
+      or relaxation that raises ends the plan before its step, and fails
+      the lanes it hits once the chunk before it is done.
+    - step (``_step``): only the iterates (and, in column mode, the
+      carried residuals) move, into a chunk that stacks the (lanes, n)
+      blocks of every step.
+    - measure: one ``_products`` call gives a row-mode chunk's
+      residuals (in ``_step``), and one ``_dots`` call the norms of
+      [X; R; X - x*] (in ``_record``).
+    - emit (``_record``): lane by lane in step order, the records go to
+      each lane's ``report_type()``. A lane's first converged record,
+      first non-finite record or failed tracker step ends its chunk
+      there, so at most C - 1 steps are wasted.
+
+    C is the most steps whose (steps, lanes, n) iterate block fits in
+    ``CHUNK_BYTES``, and at least 1; it grows as lanes leave. Every
+    product is a BLAS call per row on the operands of a one-lane,
+    one-step run, so each lane's records and final x are those of
+    running its schedule alone, step by step, bit for bit.
 
     A lane leaves the block when it converges or raises a QrelaxError.
     The lanes after a failed lane leave with it, and the first failed
@@ -166,11 +192,14 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     that running the schedules one after another would raise. x* comes
     from ``_solution_of``, so it is solved once per system, not once per
     run. ``track(system, x0)`` builds an optional tracker per lane for a
-    quantum engine: ``advance(k, t, value)`` runs ahead of each
-    classical step, and ``observe(x, x_norm)`` returns the (amplitude,
-    success probability, fidelity) of each record. Each lane's records go
-    to a ``report_type()``.
+    quantum engine. In the emit pass each tracker sees, as in a
+    step-by-step loop, ``observe(x, x_norm)`` for record k, returning
+    its (amplitude, success probability, fidelity), and then, unless
+    the lane stops at record k, ``advance(k, t, value)`` for the step
+    to record k + 1.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"tol must be finite and >= 0, got {tol!r}")
     if mode not in (ROW, COLUMN):
         raise UsageError(f"mode must be {ROW!r} or {COLUMN!r}, got {mode!r}")
     x0 = np.asarray(x0, dtype=float)
@@ -183,84 +212,123 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     trackers = [None if track is None else track(system, x0) for _ in schedules]
     x_star = _solution_of(system)
     greedy = strategy.variant == GREEDY_RESIDUAL
-    matrix, rhs = system.matrix, system.rhs
+    matrix = system.matrix
 
     reports = [report_type() for _ in schedules]
     failures = {}
     lanes = list(range(len(schedules)))  # the lane of each block row
-    x = np.tile(x0, (len(lanes), 1))
-    residual = np.tile(system.residual(x0), (len(lanes), 1))
-    chosen = values = [None] * len(lanes)  # the selection that produced each row
-    for k in range(max_steps + 1):
-        records = _record(k, chosen, values, x, residual, x_star, [trackers[i] for i in lanes])
-        kept = []
-        for row, (lane, record) in enumerate(zip(lanes, records)):
-            if not (math.isfinite(record.x_norm) and math.isfinite(record.residual_norm)):
-                try:
-                    _require_finite(k, x[row], residual[row])
-                except QrelaxError as exc:
-                    failures[lane] = exc
-                    continue
-            reports[lane].append(record)
-            if record.residual_norm <= tol:
-                reports[lane].status = CONVERGED
-                reports[lane].final_x = x[row]
-            else:
-                kept.append(row)
-        lanes, x, residual = _keep(kept, failures, lanes, x, residual)
+    # The chunk: ts[j] and values[j] are the selections of step first + j,
+    # one entry per block row, and chunk[0] and chunk[1] the iterates and
+    # residuals after each step, one block after another; chunk[2] gets
+    # their errors when there is an x*.
+    chunk = np.empty((2 if x_star is None else 3, len(lanes), system.n))
+    chunk[0], chunk[1] = x0, system.residual(x0)
+    first, x, residual = 0, chunk[0], chunk[1]
+    ts = values = [[None] * len(lanes)]
+    while first <= max_steps:
+        kept = _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, failures)
+        k, last = first + len(ts) - 1, slice(-len(lanes), None)
+        lanes, x, residual = _keep(kept, failures, lanes, chunk[0, last], chunk[1, last])
         if k == max_steps or not lanes:
             break
 
-        try:
-            if greedy:
-                context = residual if mode == ROW else _products(matrix.T, residual)
-                chosen = [select_index(strategy, k, system.n, residual=c) for c in context]
-            else:
-                chosen = [select_index(strategy, k, system.n)] * len(lanes)
-        except QrelaxError as exc:
-            failures.update(dict.fromkeys(lanes, exc))
-            break
-        kept, values = [], []
-        for row, (lane, t) in enumerate(zip(lanes, chosen)):
-            value = None
-            try:
-                value = relaxation_at(schedules[lane], k)
-                if trackers[lane] is not None:
-                    trackers[lane].advance(k, t, value)
-                kept.append(row)
-            except QrelaxError as exc:
-                failures[lane] = exc
-            values.append(value)
-        lanes, x, residual, chosen, values = _keep(
-            kept, failures, lanes, x, residual, chosen, values
-        )
-        if not lanes:
-            break
-
-        if mode == ROW:
-            # One t for every lane: an int index takes a row view, not a
-            # gathered copy per lane.
-            index = np.array(chosen) - 1 if greedy and len(lanes) > 1 else chosen[0] - 1
-            a = matrix[index]
-            gap = rhs[index] - _dots(a, x)
-            x = x + (np.array(values) * gap)[:, None] * a
-            residual = rhs - _products(matrix, x)
+        if greedy:
+            context = residual if mode == ROW else _products(matrix.T, residual)
+            steps = 1
         else:
-            # column_step on each row, in place (a lane's final_x view is
-            # only taken of a block that compaction then replaces). Its dot
-            # with the strided column view sums in another order than a
-            # dot over a contiguous copy, so it stays one dot per lane.
-            for row, (t, value) in enumerate(zip(chosen, values)):
-                column = matrix[:, t - 1]
-                update = value * float(column @ residual[row])
-                x[row, t - 1] += update
-                residual[row] -= update * column
+            context, steps = None, min(max(1, CHUNK_BYTES // x.nbytes), max_steps - k)
+        failed = len(failures)
+        ts, values = _plan(strategy, schedules, lanes, k, steps, system.n, context, failures)
+        if not ts:
+            break
+        if len(failures) > failed:  # at step k, so the plan is that one step
+            kept = [row for row, lane in enumerate(lanes) if lane not in failures]
+            lanes, x, residual, ts[0], values[0] = _keep(
+                kept, failures, lanes, x, residual, ts[0], values[0]
+            )
+            if not lanes:
+                break
+        chunk = _step(mode, system, x, residual, ts, values, greedy, len(chunk))
+        first = k + 1
 
     if failures:
         raise failures[min(failures)]
     for row, lane in enumerate(lanes):
-        reports[lane].final_x = x[row]
+        reports[lane].final_x = x[row].copy()
     return reports, trackers
+
+
+def _plan(strategy, schedules, lanes, k, steps, n, context, failures):
+    """The selections of up to ``steps`` steps from step k, as lists
+    ``ts`` and ``values`` with one per-lane list per step.
+
+    A selection or relaxation that raises ends the plan before its
+    step. At step k itself it fails the lanes it hits instead (every
+    lane, for a selection), and the plan is that one step, with None
+    for the values of failed lanes. ``context`` holds each lane's
+    greedy context, and is None for the other rules.
+    """
+    ts, values, errors = [], [], {}
+    for step in range(k, k + steps):
+        try:
+            if context is None:
+                chosen = [select_index(strategy, step, n)] * len(lanes)
+            else:
+                chosen = [select_index(strategy, step, n, residual=c) for c in context]
+        except QrelaxError as exc:
+            if step == k:
+                failures.update(dict.fromkeys(lanes, exc))
+            break
+        relaxations = []
+        for lane in lanes:
+            try:
+                relaxations.append(relaxation_at(schedules[lane], step))
+            except QrelaxError as exc:
+                relaxations.append(None)
+                errors[lane] = exc
+        if errors and step > k:
+            break
+        ts.append(chosen)
+        values.append(relaxations)
+        if errors:
+            failures.update(errors)
+            break
+    return ts, values
+
+
+def _step(mode, system, x, residual, ts, values, greedy, depth):
+    """The (lanes, n) block stepped through the plan: a (depth, steps *
+    lanes, n) chunk whose first two layers hold the iterates and the
+    residuals after each step, one block after another."""
+    matrix, rhs = system.matrix, system.rhs
+    width = len(x)
+    chunk = np.empty((depth, len(ts) * width, x.shape[1]))
+    xs, rs = chunk[0], chunk[1]
+    if mode == ROW:
+        scales = np.array(values)
+        for j, chosen in enumerate(ts):
+            # One t for every lane: an int index takes a row view, not a
+            # gathered copy per lane.
+            index = np.array(chosen) - 1 if greedy and len(chosen) > 1 else chosen[0] - 1
+            a = matrix[index]
+            gap = rhs[index] - _dots(a, x)
+            x = np.add(x, (scales[j] * gap)[:, None] * a, out=xs[j * width:(j + 1) * width])
+        _products(matrix, xs, out=rs)
+        np.subtract(rhs, rs, out=rs)
+        return chunk
+    # column_step on each row of a copy of the last block. Its dot with
+    # the strided column view sums in another order than a dot over a
+    # contiguous copy, so it stays one dot per lane.
+    for j, (chosen, relaxations) in enumerate(zip(ts, values)):
+        block = slice(j * width, (j + 1) * width)
+        xs[block], rs[block] = x, residual
+        x, residual = xs[block], rs[block]
+        for row, (t, value) in enumerate(zip(chosen, relaxations)):
+            column = matrix[:, t - 1]
+            update = value * float(column @ residual[row])
+            x[row, t - 1] += update
+            residual[row] -= update * column
+    return chunk
 
 
 def _keep(rows, failures, lanes, x, residual, *lists):
@@ -291,19 +359,58 @@ def _require_finite(k, x, residual):
             )
 
 
-def _record(k, ts, values, x, residual, x_star, trackers) -> list[StepRecord]:
-    """The step-k record of each block row; ``ts`` and ``values`` are the
-    rows' selections (None at k=0)."""
-    rows = len(x)
-    blocks = np.concatenate((x, residual) if x_star is None else (x, residual, x - x_star))
+_UNTRACKED = (None, None, None)
+
+
+def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, failures):
+    """Measures a chunk and appends its records; returns the block rows
+    whose lanes run on.
+
+    Row j * lanes + row of ``chunk[0]`` and ``chunk[1]`` is the iterate
+    and residual of block row ``row`` after step first + j, made by
+    ``ts[j][row]`` and ``values[j][row]`` (None at k=0); its error
+    against ``x_star`` goes to ``chunk[2]``. Lane by lane, records go in
+    step order until the lane converges or fails; a failed lane's error
+    goes to ``failures``, and the lanes after it are not emitted, since
+    they leave with it.
+    """
+    if x_star is not None:
+        np.subtract(chunk[0], x_star, out=chunk[2])
     # The root of a row's dot is np.linalg.norm of that row, bit for bit.
-    norms = np.sqrt(_dots(blocks, blocks)).tolist()
-    x_norms, residual_norms = norms[:rows], norms[rows:2 * rows]
-    errors = norms[2 * rows:] or [None] * rows
-    records = []
-    for row, tracker in enumerate(trackers):
-        observed = (None, None, None) if tracker is None else tracker.observe(x[row], x_norms[row])
-        # Positional, in RECORD_FIELDS order: keywords cost a third more per record.
-        records.append(StepRecord(k, ts[row], values[row], x_norms[row], residual_norms[row],
-                                  errors[row], *observed))
-    return records
+    x_norms, residual_norms, *errors = np.sqrt(_dots(chunk, chunk)).tolist()
+    errors = errors[0] if errors else [None] * len(x_norms)
+    width = len(lanes)
+    lane_ts, lane_values = list(zip(*ts)), list(zip(*values))
+    kept = []
+    for row, lane in enumerate(lanes):
+        report, tracker = reports[lane], trackers[lane]
+        stream = zip(count(first), range(row, len(x_norms), width), lane_ts[row],
+                     lane_values[row], x_norms[row::width], residual_norms[row::width],
+                     errors[row::width])
+        for k, at, t, value, x_norm, residual_norm, error in stream:
+            observed = _UNTRACKED
+            if tracker is not None:
+                if t is not None:
+                    try:
+                        tracker.advance(k - 1, t, value)
+                    except QrelaxError as exc:
+                        failures[lane] = exc
+                        break
+                observed = tracker.observe(chunk[0, at], x_norm)
+            if not (math.isfinite(x_norm) and math.isfinite(residual_norm)):
+                try:
+                    _require_finite(k, chunk[0, at], chunk[1, at])
+                except QrelaxError as exc:
+                    failures[lane] = exc
+                    break
+            # Positional, in RECORD_FIELDS order: keywords cost a third more per record.
+            report.append(StepRecord(k, t, value, x_norm, residual_norm, error, *observed))
+            if residual_norm <= tol:
+                report.status = CONVERGED
+                report.final_x = chunk[0, at].copy()
+                break
+        else:
+            kept.append(row)
+        if lane in failures:
+            break
+    return kept

@@ -66,6 +66,8 @@ class RunConfig:
             raise UsageError(f"mode {self.mode!r} not one of {MODES}")
         if self.steps < 0:
             raise UsageError(f"steps must be >= 0, got {self.steps}")
+        if self.mem_limit <= 0:
+            raise UsageError(f"mem-limit must be > 0 bytes, got {self.mem_limit}")
 
 
 def _resolve_x0(text: str, n: int) -> np.ndarray:

@@ -96,7 +96,11 @@ class SelectionStrategy:
 
     @classmethod
     def random_uniform(cls, seed: int = 0) -> "SelectionStrategy":
-        return cls(RANDOM_UNIFORM, seed=int(seed))
+        seed = int(seed)
+        if seed < 0:
+            # numpy's seed sequence takes only non-negative entropy.
+            raise UsageError(f"seed must be >= 0, got {seed}")
+        return cls(RANDOM_UNIFORM, seed=seed)
 
     @classmethod
     def greedy_residual(cls) -> "SelectionStrategy":

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import random_consistent, random_unit
-from qrelax import classical
+from qrelax import branch, classical, statevector
 from qrelax.errors import DomainError, QrelaxError, UsageError
 from qrelax.report import CONVERGED
 from qrelax.schedules import RelaxationSchedule, SelectionStrategy
@@ -304,3 +304,17 @@ def test_huge_finite_iterate_runs_on():
     assert report.status == CONVERGED
     assert report.records[0].residual_norm == math.inf
     assert report.records[2].x_norm == math.inf
+
+
+@pytest.mark.parametrize("engine", ["classical", "branch", "sim"])
+@pytest.mark.parametrize("tol", [math.nan, -1e-3, math.inf])
+def test_runs_reject_a_non_finite_or_negative_tol(row_case, engine, tol):
+    system, x0, _ = row_case
+    schedule, strategy = RelaxationSchedule.constant(0.5), SelectionStrategy.cyclic()
+    with pytest.raises(UsageError, match="tol must be finite and >= 0"):
+        if engine == "classical":
+            classical.run_classical(system, x0, schedule, strategy, 5, "row", tol=tol)
+        elif engine == "branch":
+            branch.run_branch(system, x0, schedule, strategy, 5, "row", tol=tol)
+        else:
+            statevector.run_algorithm1(system, x0, schedule, strategy, 5, tol=tol)

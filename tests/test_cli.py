@@ -10,6 +10,7 @@ import pytest
 
 from helpers import random_consistent
 from qrelax import cli
+from qrelax.errors import UsageError
 from qrelax.report import RECORD_FIELDS
 
 R2 = math.sqrt(2.0)
@@ -372,3 +373,28 @@ def test_closed_stdout_exits_quietly(command):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (cli.EXIT_ERROR, b"")
+
+
+BAD_RUN_FLAGS = {
+    "random-negative-seed": ["--strategy", "random", "--seed", "-1"],
+    "tol-nan": ["--tol", "nan"],
+    "tol-negative": ["--tol", "-1"],
+    "tol-inf": ["--tol", "inf"],
+    "mem-limit-zero": ["--mem-limit", "0"],
+    "mem-limit-negative": ["--mem-limit", "-5", "--mode", "sim-row"],
+}
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--grid", "0.5,1.0"]])
+@pytest.mark.parametrize("argv", BAD_RUN_FLAGS.values(), ids=BAD_RUN_FLAGS.keys())
+def test_bad_run_flag_exits_one_with_one_error_line(command, argv, capsys):
+    rc = cli.main([*command, "--system", ROW_INLINE, "--format", "inline", "--x0", "1,0", *argv])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_config_rejects_a_mem_limit_below_one_byte():
+    with pytest.raises(UsageError, match="mem-limit must be > 0 bytes, got 0"):
+        cli.RunConfig(system_source="s.csv", mem_limit=0)
+    assert cli.RunConfig(system_source="s.csv", mem_limit=1).mem_limit == 1

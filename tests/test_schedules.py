@@ -125,3 +125,9 @@ def test_explicit_indices_replay_and_bounds():
         select_index(SelectionStrategy.explicit([3]), 0, 2)
     with pytest.raises(UsageError):
         SelectionStrategy.explicit([0])
+
+
+def test_random_uniform_rejects_a_negative_seed():
+    with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+        SelectionStrategy.random_uniform(seed=-1)
+    assert SelectionStrategy.random_uniform(seed=0).seed == 0
