@@ -145,11 +145,18 @@ def _products(matrix, v, out=None):
     return np.matmul(matrix, v[:, :, None], out=None if out is None else out[:, :, None])[:, :, 0]
 
 
-# A chunk holds as many steps as fit this many bytes of iterates, and at
-# least one; its residuals and norms are one call each. At 32 KiB an
-# 8-lane sweep at n=50 ran as fast as at 64 KiB, and only 64 KiB raised
-# its peak memory.
+# A chunk holds as many steps as fit CHUNK_BYTES of iterates, at most
+# CHUNK_STEPS and at least one; its residuals and norms are one call
+# each. The chunk array is up to 2 or 3 times CHUNK_BYTES: iterates,
+# residuals and, with an x*, errors. The step cap bounds the steps
+# planned past a run's last record: with the byte cap alone a one-lane
+# run at n=2 plans 2048 steps per chunk, each a random draw of about
+# 22 us, and random runs that converged within 100 steps took about
+# 55 ms each instead of 2 ms. An 8-lane sweep at n=50 ran as fast at
+# 32 KiB as at 64 KiB, and with the step cap its peak memory is that of
+# one-step chunks.
 CHUNK_BYTES = 32 * 1024
+CHUNK_STEPS = 16
 
 
 # _require_finite reports overflow; numpy's warnings would only precede it.
@@ -181,10 +188,10 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
       there, so at most C - 1 steps are wasted.
 
     C is the most steps whose (steps, lanes, n) iterate block fits in
-    ``CHUNK_BYTES``, and at least 1; it grows as lanes leave. Every
-    product is a BLAS call per row on the operands of a one-lane,
-    one-step run, so each lane's records and final x are those of
-    running its schedule alone, step by step, bit for bit.
+    ``CHUNK_BYTES``, at most ``CHUNK_STEPS`` and at least 1; it grows as
+    lanes leave. Every product is a BLAS call per row on the operands of
+    a one-lane, one-step run, so each lane's records and final x are
+    those of running its schedule alone, step by step, bit for bit.
 
     A lane leaves the block when it converges or raises a QrelaxError.
     The lanes after a failed lane leave with it, and the first failed
@@ -236,7 +243,8 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
             context = residual if mode == ROW else _products(matrix.T, residual)
             steps = 1
         else:
-            context, steps = None, min(max(1, CHUNK_BYTES // x.nbytes), max_steps - k)
+            context = None
+            steps = min(max(1, CHUNK_BYTES // x.nbytes), CHUNK_STEPS, max_steps - k)
         failed = len(failures)
         ts, values = _plan(strategy, schedules, lanes, k, steps, system.n, context, failures)
         if not ts:

@@ -13,7 +13,13 @@ from helpers import random_consistent, random_unit
 from test_replay import _replay
 from qrelax import branch, classical, statevector as sv
 from qrelax.errors import QrelaxError
-from qrelax.schedules import CLASSICAL, QUANTUM, RelaxationSchedule, SelectionStrategy
+from qrelax.schedules import (
+    CLASSICAL,
+    QUANTUM,
+    RelaxationSchedule,
+    SelectionStrategy,
+    select_index,
+)
 from qrelax.system import ROWS_NORMALIZED, LinearSystem, normalize_columns, normalize_rows
 
 N, C = 6, 4  # system size; steps per chunk of one lane
@@ -58,9 +64,28 @@ def _lanes(system, x0, values, strategy, steps, mode, tol, track=None, domain=CL
 def test_the_default_cap_equals_one_step_chunks(monkeypatch):
     system, x0 = _system("row")
     run = _lanes(system, x0, [1.0], SelectionStrategy.cyclic(), 3 * 1024, "row", 0.0)
-    steps_per_chunk = classical.CHUNK_BYTES // (N * 8)
+    steps_per_chunk = min(classical.CHUNK_BYTES // (N * 8), classical.CHUNK_STEPS)
     assert steps_per_chunk > 1
     _same_as_one_step_chunks(monkeypatch, run, classical.CHUNK_BYTES)
+
+
+def test_a_small_run_plans_at_most_chunk_steps_past_its_end(monkeypatch):
+    # At n=2 the byte cap alone allows 2048 steps per chunk, each planned
+    # with a random draw whether or not the run is still going.
+    system, x0 = _system("row", n=2)
+    strategy = SelectionStrategy.random_uniform(6)
+    planned = []
+
+    def select(strategy, k, n, residual=None):
+        planned.append(k)
+        return select_index(strategy, k, n, residual=residual)
+
+    monkeypatch.setattr(classical, "select_index", select)
+    (report,) = classical._drive(system, x0, [RelaxationSchedule.constant(1.0)], strategy,
+                                 10**6, "row", 1e-6)[0]
+    assert report.status == "converged"
+    wasted = max(planned) + 1 - report.steps_taken
+    assert 0 <= wasted < classical.CHUNK_STEPS
 
 
 @pytest.mark.parametrize("mode", ["row", "column"])
