@@ -207,6 +207,8 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise UsageError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_steps < 0:
+        raise UsageError(f"max_steps must be >= 0, got {max_steps}")
     if mode not in (ROW, COLUMN):
         raise UsageError(f"mode must be {ROW!r} or {COLUMN!r}, got {mode!r}")
     x0 = np.asarray(x0, dtype=float)

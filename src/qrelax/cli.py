@@ -10,6 +10,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .encodings import (
     _check_unit,
     column_residual_unitary,
     column_update_unitary,
+    embedding_factor,
     row_unitary,
     state_prep_col,
     state_prep_row,
@@ -199,12 +201,19 @@ def _write_outputs(config: RunConfig, system, report: RunReport, summary: list[s
         "tol": config.tol,
         "seed": config.seed,
     }
-    with open(config.out + ".jsonl", "w") as fh:
-        fh.write(json.dumps({"meta": meta}) + "\n")
-        for line in report.json_lines():
-            fh.write(line + "\n")
-    with open(config.out + ".summary.txt", "w") as fh:
-        fh.write("\n".join(summary) + "\n")
+    _write_lines(config.out + ".jsonl", chain([json.dumps({"meta": meta})], report.json_lines()))
+    _write_lines(config.out + ".summary.txt", summary)
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write each line to the ``--out`` file ``path``; a file that cannot
+    be written is a UsageError that names it."""
+    try:
+        with open(path, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_solve(config: RunConfig, stdout=None) -> int:
@@ -272,7 +281,10 @@ def _verify_unitaries(trials: int, seed: int):
 
 
 def _verify_equivalence(trials: int, seed: int):
-    """Cross-engine suite: statevector vs branch vs classical per step."""
+    """Cross-engine suite: the classical, branch and statevector runs of
+    one explicit selection must agree in record count, x norm, amplitude
+    and sim fidelity 1; in column mode the final residual register's good
+    branch must carry delta times the final residual norm."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
@@ -282,50 +294,27 @@ def _verify_equivalence(trials: int, seed: int):
         x0 = rng.normal(size=n)
         x0 /= np.linalg.norm(x0)
         steps = [(int(rng.integers(1, n + 1)), float(rng.uniform(0, 1))) for _ in range(3)]
-
-        sys_r = normalize_rows(LinearSystem(a, b))
-        state = statevector.init_row_state(x0)
-        row_it = classical.RowIterate(x0)
-        row_br = branch.init_row_branch(x0)
-        for t, lam in steps:
-            state = statevector.apply_row_iteration(
-                statevector.prepare_Y(state, sys_r, t), sys_r, t, lam
-            )
-            statevector.assert_normalized(state)
-            row_it = classical.kaczmarz_step(row_it, sys_r, t, lam)
-            row_br = branch.row_branch_step(row_br, sys_r, t, lam)
-            amp, direction = statevector.extract_good_branch(state)
-            x_norm = np.linalg.norm(row_it.x)
-            worst = max(worst, abs(amp - x_norm / state.v), abs(amp - row_br.amplitude))
-            if x_norm > 1e-9:
-                worst = max(worst, abs(1.0 - abs(direction @ (row_it.x / x_norm))))
-
-        sys_c = normalize_columns(LinearSystem(a, b))
-        init = statevector.init_column_states(x0, sys_c)
-        if init.converged:
-            continue
-        x_state, r_state = init.x_state, init.r_state
-        col_it = classical.ColumnIterate(x0, sys_c.residual(x0))
-        col_br = branch.init_column_branch(x0, sys_c)
-        for t, omega in steps:
-            x_state, r_state = statevector.apply_column_iteration(
-                x_state, r_state, sys_c, t, omega, init.delta
-            )
-            statevector.assert_normalized(x_state)
-            statevector.assert_normalized(r_state)
-            col_it = classical.column_step(col_it, sys_c, t, omega)
-            col_br = branch.column_branch_step(col_br, sys_c, t, omega)
-            amp, _ = statevector.extract_good_branch(x_state)
-            r_amp, _ = statevector.extract_good_branch(r_state)
-            worst = max(
-                worst,
-                abs(amp - np.linalg.norm(col_it.x) / x_state.v),
-                abs(amp - col_br.amplitude),
-                abs(r_amp - init.delta * np.linalg.norm(col_it.r)),
-                abs(r_amp - col_br.residual_amplitude),
-            )
+        ts, values = zip(*steps)
+        plan = (RelaxationSchedule.explicit(values, QUANTUM), SelectionStrategy.explicit(ts))
+        failure = f"trial {trial}: n={n} steps={steps!r}"
+        systems = (normalize_rows(LinearSystem(a, b)), normalize_columns(LinearSystem(a, b)))
+        runs = (statevector.run_algorithm1, statevector.run_algorithm2)
+        for mode, system, run in zip((classical.ROW, classical.COLUMN), systems, runs):
+            args = (system, x0, *plan, len(steps))
+            exact = classical.run_classical(*args, mode, tol=0.0).records
+            good = branch.run_branch(*args, mode, tol=0.0).records
+            sim, *states = run(*args, tol=0.0)
+            if not len(exact) == len(good) == len(sim.records):
+                return worst, f"{failure}: {mode} record counts differ"
+            for c, g, s in zip(exact, good, sim.records):
+                worst = max(worst, abs(c.x_norm - g.x_norm), abs(c.x_norm - s.x_norm),
+                            abs(s.amplitude - g.amplitude), abs(1.0 - s.fidelity))
+            if mode == classical.COLUMN:
+                r_amp, _ = statevector.extract_good_branch(states[-1])
+                delta = embedding_factor(exact[0].residual_norm)
+                worst = max(worst, abs(r_amp - delta * sim.final.residual_norm))
         if worst > 1e-9:
-            return worst, f"trial {trial}: n={n} steps={steps!r}"
+            return worst, failure
     return worst, None
 
 
@@ -333,6 +322,9 @@ def cmd_verify(trials: int = 1000, seed: int = 0, stdout=None) -> int:
     stdout = stdout or sys.stdout
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        # numpy's seed sequence takes only non-negative entropy.
+        raise UsageError(f"seed must be >= 0, got {seed}")
     worst, failure = _verify_unitaries(trials, seed)
     print(
         f"unitarity suite ({trials} trials): max ||M^T M - I||_max = "
@@ -405,11 +397,9 @@ def cmd_sweep(config: RunConfig, grid: list[float], stdout=None) -> int:
             f"{value:g},{report.status},{report.steps_taken},{report.final.residual_norm:.12e},"
             + ("" if probability is None else f"{probability:.12e}")
         )
-    text = "\n".join(lines)
     if config.out:
-        with open(config.out + ".csv", "w") as fh:
-            fh.write(text + "\n")
-    print(text, file=stdout)
+        _write_lines(config.out + ".csv", lines)
+    print("\n".join(lines), file=stdout)
     return EXIT_OK
 
 

@@ -52,8 +52,13 @@ def _parse_file(path, parse):
 def _read(path) -> str:
     if not os.path.exists(path):
         raise ParseError(f"no such file: {path}")
-    with open(path, "r") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _lines(text: str, comment: str):

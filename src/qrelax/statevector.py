@@ -280,11 +280,6 @@ def row_mixing(v: float, b_t: float):
     return beta, beta * b_t / v
 
 
-def _prepared_keys(keys: np.ndarray, m: int) -> np.ndarray:
-    """Keys after prepare_Y: the iterate's, then the fresh row's 1 << m."""
-    return np.append(keys, 1 << m)
-
-
 def prepare_Y(state: SimState, system: LinearSystem, t: int) -> SimState:
     """Prepend one qubit: beta|0>|X_k> + gamma|1>|0...0>|a_t>.
 
@@ -298,23 +293,7 @@ def prepare_Y(state: SimState, system: LinearSystem, t: int) -> SimState:
     vec = np.empty((state.keys.size + 1, n))
     np.multiply(state.vec, beta, out=vec[:-1])
     np.multiply(system.row(t), gamma, out=vec[-1])
-    return SimState(_prepared_keys(state.keys, m), vec, RegisterLayout(m + 1, n), state.k, state.v)
-
-
-def _row_route(keys: np.ndarray, k: int, operator) -> _Route:
-    """Route of one row iteration on the keys of a state prepared at step k:
-    SWAP(1, m-1), the block operator on the last pair, then parking."""
-    _check_key_width(classical.ROW, k)
-    m = ancillas(classical.ROW, k) + 1
-    return _parked(_route(_swap_keys(keys, m, 1, m - 1), _pattern(operator.matrix, 4)), m)
-
-
-def _row_finish(prepared: SimState, system: LinearSystem, t: int, operator,
-                route: _Route) -> SimState:
-    m, n = prepared.layout.ancillas, prepared.layout.data_dim
-    vec = _apply_routed(route, prepared.vec, operator.matrix)
-    v_next = next_denominator(classical.ROW, prepared.v, system, t)
-    return SimState(route.keys, vec, RegisterLayout(m + 2, n), prepared.k + 1, v_next)
+    return SimState(np.append(state.keys, 1 << m), vec, RegisterLayout(m + 1, n), state.k, state.v)
 
 
 def apply_row_iteration(state: SimState, system: LinearSystem, t: int, lam: float) -> SimState:
@@ -325,13 +304,22 @@ def apply_row_iteration(state: SimState, system: LinearSystem, t: int, lam: floa
     parking moves the used ancillas to the front beside a fresh pair,
     leaving a valid iterate state with 3(k+1)+2 ancillas.
     """
+    return _row_iteration(state, system, t, lam, mem_limit=None)
+
+
+def _row_iteration(prepared, system, t, lam, mem_limit):
     require_normalization(system, ROWS_NORMALIZED, "apply_row_iteration")
-    k = state.k
-    m = state.layout.ancillas
+    k, m, n = prepared.k, prepared.layout.ancillas, prepared.layout.data_dim
     if m != ancillas(classical.ROW, k) + 1:
         raise UsageError(f"prepared state at k={k} has {m} ancillas, expected 3k+3")
-    operator = row_unitary(system.row(t), lam)
-    return _row_finish(state, system, t, operator, _row_route(state.keys, k, operator))
+    _check_key_width(classical.ROW, k)
+    operator = row_unitary(system.row(t), lam).matrix
+    route = _parked(_route(_swap_keys(prepared.keys, m, 1, m - 1), _pattern(operator, 4)), m)
+    if mem_limit is not None:
+        _guard_memory(k, n, prepared.keys.size, (route,), (operator,), mem_limit)
+    vec = _apply_routed(route, prepared.vec, operator)
+    v_next = next_denominator(classical.ROW, prepared.v, system, t)
+    return SimState(route.keys, vec, RegisterLayout(m + 2, n), k + 1, v_next)
 
 
 # --- column algorithm -------------------------------------------------------
@@ -451,11 +439,14 @@ def _check_key_width(direction: str, k: int) -> None:
 def _guard_memory(k: int, n: int, live: int, routes, operators, mem_limit: int) -> None:
     """Raise ResourceError when one iteration's predicted peak is over the limit.
 
-    Called with the routes of the iteration, before any of its blocks
-    exist. The prediction counts the ``live`` input blocks, the largest
-    gather buffer twice (it coexists with the operator output) and the
-    new blocks of every route, each block row with ``_INDEX_WORDS`` int64
-    words of keys and indices beside it, plus the operator matrices.
+    Called with the routes of the iteration, before any of its new
+    blocks exist. The prediction counts the ``live`` input blocks, the
+    largest gather buffer twice (it coexists with the operator output)
+    and the new blocks of every route, each block row with
+    ``_INDEX_WORDS`` int64 words of keys and indices beside it, plus the
+    operator matrices. A row iteration calls it after ``prepare_Y``; the
+    prepared blocks are the live input it counts either way, so the
+    prediction is the one made before the preparation.
     """
     gather = max(route.rows * route.slots for route in routes)
     new = sum(route.keys.size for route in routes)
@@ -494,13 +485,11 @@ class _RowTracker(_Tracker):
 
     def advance(self, k: int, t: int, lam: float) -> None:
         check_domain(lam, QUANTUM, k)
-        operator = row_unitary(self.system.row(t), lam)
-        keys = _prepared_keys(self.state.keys, self.state.layout.ancillas)
-        route = _row_route(keys, k, operator)
-        _guard_memory(k, self.system.n, keys.size, (route,), (operator.matrix,), self.mem_limit)
         # Rebinding self.state drops each input as soon as its successor exists.
         self.state = assert_normalized(prepare_Y(self.state, self.system, t))
-        self.state = assert_normalized(_row_finish(self.state, self.system, t, operator, route))
+        self.state = assert_normalized(
+            _row_iteration(self.state, self.system, t, lam, self.mem_limit)
+        )
 
 
 class _ColumnTracker(_Tracker):

@@ -318,3 +318,16 @@ def test_runs_reject_a_non_finite_or_negative_tol(row_case, engine, tol):
             branch.run_branch(system, x0, schedule, strategy, 5, "row", tol=tol)
         else:
             statevector.run_algorithm1(system, x0, schedule, strategy, 5, tol=tol)
+
+
+@pytest.mark.parametrize("engine", ["classical", "branch", "sim"])
+def test_runs_reject_a_negative_max_steps(row_case, engine):
+    system, x0, _ = row_case
+    schedule, strategy = RelaxationSchedule.constant(0.5), SelectionStrategy.cyclic()
+    with pytest.raises(UsageError, match="max_steps must be >= 0, got -1"):
+        if engine == "classical":
+            classical.run_classical(system, x0, schedule, strategy, -1, "row")
+        elif engine == "branch":
+            branch.run_branch(system, x0, schedule, strategy, -1, "row")
+        else:
+            statevector.run_algorithm1(system, x0, schedule, strategy, -1)

@@ -147,6 +147,36 @@ def test_solve_missing_file_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_solve_on_a_directory_exits_one(tmp_path, capsys):
+    assert cli.main(["solve", "--system", str(tmp_path)]) == cli.EXIT_ERROR
+    assert _one_error_line(capsys) == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_solve_on_a_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,0\n0,1\n\xe9,0\n")
+    assert cli.main(["solve", "--system", str(path)]) == cli.EXIT_ERROR
+    assert _one_error_line(capsys) == f"error: cannot read {path}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command, suffix", [
+    (["solve"], ".jsonl"), (["sweep", "--grid", "0.5,1.0"], ".csv"),
+])
+def test_out_in_a_missing_directory_exits_one(tmp_path, command, suffix, capsys):
+    out = tmp_path / "missing" / "run"
+    rc = cli.main([*command, "--system", ROW_INLINE, "--format", "inline", "--out", str(out)])
+    assert rc == cli.EXIT_ERROR
+    assert _one_error_line(capsys) == (
+        f"error: cannot write {out}{suffix}: No such file or directory\n"
+    )
+
+
 def test_solve_domain_error_exits_one(capsys):
     rc = cli.main([
         "solve", "--system", ROW_INLINE, "--format", "inline",
@@ -203,6 +233,29 @@ def test_verify_command(capsys):
 
 def test_verify_single_trial_fast_path(capsys):
     assert cli.main(["verify", "--trials", "1"]) == cli.EXIT_OK
+
+
+def test_verify_negative_seed_exits_one(capsys):
+    assert cli.main(["verify", "--seed", "-1"]) == cli.EXIT_ERROR
+    assert _one_error_line(capsys) == "error: seed must be >= 0, got -1\n"
+
+
+def test_verify_flags_a_broken_branch_tracker(monkeypatch, capsys):
+    # The equivalence suite runs the engines through their run loop, so a
+    # tracker that reports a wrong amplitude must fail it.
+    from qrelax import branch
+
+    observe = branch._BranchTracker.observe
+
+    def scaled(self, x, x_norm):
+        amplitude, probability, fidelity = observe(self, x, x_norm)
+        return amplitude * (1 + 1e-6), probability, fidelity
+
+    monkeypatch.setattr(branch._BranchTracker, "observe", scaled)
+    rc = cli.main(["verify", "--trials", "50", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_ERROR
+    assert "FAIL equivalence: trial 0" in out and "all suites passed" not in out
 
 
 def test_verify_flags_broken_constructor(monkeypatch, capsys):
@@ -390,8 +443,7 @@ BAD_RUN_FLAGS = {
 def test_bad_run_flag_exits_one_with_one_error_line(command, argv, capsys):
     rc = cli.main([*command, "--system", ROW_INLINE, "--format", "inline", "--x0", "1,0", *argv])
     assert rc == cli.EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    _one_error_line(capsys)
 
 
 def test_run_config_rejects_a_mem_limit_below_one_byte():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,18 @@ def test_csv_ragged_row(tmp_path):
 def test_missing_file():
     with pytest.raises(ParseError):
         load_system("/nonexistent/file.csv", "csv")
+
+
+def test_a_directory_is_a_parse_error_naming_it(tmp_path):
+    with pytest.raises(ParseError, match=re.escape(f"cannot read {tmp_path}: Is a directory")):
+        load_system(str(tmp_path), "csv")
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,0\n0,1\n\xff,0\n")
+    with pytest.raises(ParseError, match=re.escape(f"cannot read {path}: not UTF-8 text")):
+        load_system(str(path), "csv")
 
 
 def test_unknown_format():
