@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, QrelaxError, UsageError
-from .report import CONVERGED, RunReport, StepRecord
+from .report import CONVERGED, RunReport
 from .schedules import (
     CLASSICAL,
     GREEDY_RESIDUAL,
+    RANDOM_UNIFORM,
     RelaxationSchedule,
     SelectionStrategy,
+    random_indices,
     relaxation_at,
     select_index,
 )
@@ -149,14 +151,39 @@ def _products(matrix, v, out=None):
 # CHUNK_STEPS and at least one; its residuals and norms are one call
 # each. The chunk array is up to 2 or 3 times CHUNK_BYTES: iterates,
 # residuals and, with an x*, errors. The step cap bounds the steps
-# planned past a run's last record: with the byte cap alone a one-lane
-# run at n=2 plans 2048 steps per chunk, each a random draw of about
-# 22 us, and random runs that converged within 100 steps took about
-# 55 ms each instead of 2 ms. An 8-lane sweep at n=50 ran as fast at
-# 32 KiB as at 64 KiB, and with the step cap its peak memory is that of
-# one-step chunks.
+# stepped past a run's last record: with the byte cap alone a one-lane
+# run at n=2 steps 2048 steps per chunk. An 8-lane sweep at n=50 ran as
+# fast at 32 KiB as at 64 KiB, and with the step cap its peak memory is
+# that of one-step chunks.
 CHUNK_BYTES = 32 * 1024
 CHUNK_STEPS = 16
+# The most random indices one refill draws (see _RandomDraws).
+DRAW_STEPS = 256
+
+
+class _RandomDraws:
+    """The random rule's indices of the steps ahead, drawn in blocks by
+    ``random_indices``; only the current block is kept.
+
+    When a chunk of steps from step k runs past the block, the block is
+    refilled up to step k + max(steps, min(DRAW_STEPS, k)): the first
+    block is the first chunk, and later ones grow with the run. The run
+    goes on past step k, so it draws at most max(CHUNK_STEPS - 1, steps
+    taken) indices past its last record.
+    """
+
+    def __init__(self, seed, n):
+        self.seed, self.n, self.first, self.ts = seed, n, 0, []
+
+    def cover(self, k, steps):
+        end = self.first + len(self.ts)
+        if end < k + steps:
+            stop = k + max(steps, min(DRAW_STEPS, k))
+            self.ts = self.ts[k - self.first:] + random_indices(self.seed, end, stop - end, self.n)
+            self.first = k
+
+    def __call__(self, step):
+        return self.ts[step - self.first]
 
 
 # _require_finite reports overflow; numpy's warnings would only precede it.
@@ -221,6 +248,8 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     trackers = [None if track is None else track(system, x0) for _ in schedules]
     x_star = _solution_of(system)
     greedy = strategy.variant == GREEDY_RESIDUAL
+    draws = _RandomDraws(strategy.seed, system.n) if strategy.variant == RANDOM_UNIFORM else None
+    select = partial(select_index, strategy, n=system.n) if draws is None else draws
     matrix = system.matrix
 
     reports = [report_type() for _ in schedules]
@@ -247,8 +276,10 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
         else:
             context = None
             steps = min(max(1, CHUNK_BYTES // x.nbytes), CHUNK_STEPS, max_steps - k)
+        if draws is not None:
+            draws.cover(k, steps)
         failed = len(failures)
-        ts, values = _plan(strategy, schedules, lanes, k, steps, system.n, context, failures)
+        ts, values = _plan(select, schedules, lanes, k, steps, context, failures)
         if not ts:
             break
         if len(failures) > failed:  # at step k, so the plan is that one step
@@ -268,9 +299,10 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     return reports, trackers
 
 
-def _plan(strategy, schedules, lanes, k, steps, n, context, failures):
+def _plan(select, schedules, lanes, k, steps, context, failures):
     """The selections of up to ``steps`` steps from step k, as lists
-    ``ts`` and ``values`` with one per-lane list per step.
+    ``ts`` and ``values`` with one per-lane list per step; ``select(step)``
+    or, for the greedy rule, ``select(step, residual=...)`` is the index.
 
     A selection or relaxation that raises ends the plan before its
     step. At step k itself it fails the lanes it hits instead (every
@@ -282,9 +314,9 @@ def _plan(strategy, schedules, lanes, k, steps, n, context, failures):
     for step in range(k, k + steps):
         try:
             if context is None:
-                chosen = [select_index(strategy, step, n)] * len(lanes)
+                chosen = [select(step)] * len(lanes)
             else:
-                chosen = [select_index(strategy, step, n, residual=c) for c in context]
+                chosen = [select(step, residual=c) for c in context]
         except QrelaxError as exc:
             if step == k:
                 failures.update(dict.fromkeys(lanes, exc))
@@ -369,58 +401,75 @@ def _require_finite(k, x, residual):
             )
 
 
-_UNTRACKED = (None, None, None)
-
-
 def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, failures):
-    """Measures a chunk and appends its records; returns the block rows
+    """Measures a chunk and emits its records; returns the block rows
     whose lanes run on.
 
     Row j * lanes + row of ``chunk[0]`` and ``chunk[1]`` is the iterate
     and residual of block row ``row`` after step first + j, made by
     ``ts[j][row]`` and ``values[j][row]`` (None at k=0); its error
-    against ``x_star`` goes to ``chunk[2]``. Lane by lane, records go in
-    step order until the lane converges or fails; a failed lane's error
-    goes to ``failures``, and the lanes after it are not emitted, since
-    they leave with it.
+    against ``x_star`` goes to ``chunk[2]``. A lane's records run in
+    step order up to its cut, found for the whole chunk with a few numpy
+    calls: its first record that converged or whose norm is not finite.
+    A non-finite norm of finite vectors (entries above about 1e154) is
+    emitted and the lane goes on; an overflow fails the lane at that
+    record. A tracker is advanced and observed record by record up to
+    the cut, as in a step-by-step loop, and a step it fails ends the
+    lane there. Each lane's records then go to its report in one
+    ``extend``. A failed lane's error goes to ``failures``, and the
+    lanes after it are not emitted, since they leave with it.
     """
     if x_star is not None:
         np.subtract(chunk[0], x_star, out=chunk[2])
-    # The root of a row's dot is np.linalg.norm of that row, bit for bit.
-    x_norms, residual_norms, *errors = np.sqrt(_dots(chunk, chunk)).tolist()
-    errors = errors[0] if errors else [None] * len(x_norms)
     width = len(lanes)
+    # The root of a row's dot is np.linalg.norm of that row, bit for bit.
+    norms = np.sqrt(_dots(chunk, chunk)).reshape(len(chunk), len(ts), width)
+    x_norms, residual_norms = norms[0], norms[1]
+    stops = (residual_norms <= tol) | ~(np.isfinite(x_norms) & np.isfinite(residual_norms))
+    stopped = stops.any(axis=0).tolist()
+    # Per field, per lane: the lane's records' entries of that field.
+    fields = norms.transpose(0, 2, 1).tolist()
+    if x_star is None:
+        fields.append([[None] * len(ts)] * width)
     lane_ts, lane_values = list(zip(*ts)), list(zip(*values))
     kept = []
     for row, lane in enumerate(lanes):
-        report, tracker = reports[lane], trackers[lane]
-        stream = zip(count(first), range(row, len(x_norms), width), lane_ts[row],
-                     lane_values[row], x_norms[row::width], residual_norms[row::width],
-                     errors[row::width])
-        for k, at, t, value, x_norm, residual_norm, error in stream:
-            observed = _UNTRACKED
-            if tracker is not None:
-                if t is not None:
-                    try:
-                        tracker.advance(k - 1, t, value)
-                    except QrelaxError as exc:
-                        failures[lane] = exc
-                        break
-                observed = tracker.observe(chunk[0, at], x_norm)
-            if not (math.isfinite(x_norm) and math.isfinite(residual_norm)):
+        x_norm, residual_norm, error = (field[row] for field in fields)
+        cut, failure = None, None
+        for j in np.flatnonzero(stops[:, row]).tolist() if stopped[row] else ():
+            at = j * width + row
+            if not (math.isfinite(x_norm[j]) and math.isfinite(residual_norm[j])):
                 try:
-                    _require_finite(k, chunk[0, at], chunk[1, at])
+                    _require_finite(first + j, chunk[0, at], chunk[1, at])
                 except QrelaxError as exc:
-                    failures[lane] = exc
+                    cut, failure = j, exc
                     break
-            # Positional, in RECORD_FIELDS order: keywords cost a third more per record.
-            report.append(StepRecord(k, t, value, x_norm, residual_norm, error, *observed))
-            if residual_norm <= tol:
-                report.status = CONVERGED
-                report.final_x = chunk[0, at].copy()
+            if residual_norm[j] <= tol:
+                cut = j
                 break
-        else:
-            kept.append(row)
-        if lane in failures:
+        end = len(ts) if cut is None else cut + (failure is None)
+        observed = ()
+        if trackers[lane] is not None:
+            tracker, observed = trackers[lane], []
+            for j in range(len(ts) if cut is None else cut + 1):
+                if lane_ts[row][j] is not None:
+                    try:
+                        tracker.advance(first + j - 1, lane_ts[row][j], lane_values[row][j])
+                    except QrelaxError as exc:
+                        cut, failure, end = j, exc, j
+                        break
+                observed.append(tracker.observe(chunk[0, j * width + row], x_norm[j]))
+            observed = zip(*observed)  # amplitudes, probabilities, fidelities
+        report = reports[lane]
+        if end:
+            columns = (lane_ts[row], lane_values[row], x_norm, residual_norm, error, *observed)
+            report.extend(first, *(column[:end] for column in columns))
+        if failure is not None:
+            failures[lane] = failure
             break
+        if cut is None:
+            kept.append(row)
+        else:
+            report.status = CONVERGED
+            report.final_x = chunk[0, cut * width + row].copy()
     return kept

@@ -27,7 +27,7 @@ from .encodings import (
 )
 from .errors import DomainError, QrelaxError, UsageError
 from .loaders import FORMATS, load_system
-from .report import CONVERGED, RunReport
+from .report import CONVERGED, RunReport, StepRecord
 from .schedules import CLASSICAL, QUANTUM, RelaxationSchedule, SelectionStrategy
 from .system import COLUMNS_NORMALIZED, LinearSystem, normalize_columns, normalize_rows
 
@@ -213,12 +213,31 @@ def _write_lines(path: str, lines) -> None:
             for line in lines:
                 fh.write(line + "\n")
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _cannot_write(path, exc) from None
+
+
+def _check_writable(config: RunConfig, *suffixes: str) -> None:
+    """Fail before the run, not after it, when an ``--out`` file cannot
+    be created. The check opens each file for appending, so it changes
+    no file, and removes a file that it created."""
+    for path in (config.out + suffix for suffix in suffixes if config.out):
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
+        if not existed:
+            os.remove(path)
+
+
+def _cannot_write(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def cmd_solve(config: RunConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
     system, x0, schedule, strategy = _prepare(config)
+    _check_writable(config, ".jsonl", ".summary.txt")
     report, extras = _execute(config, system, x0, schedule, strategy)
     summary = _summary_lines(config, system, report, extras)
     _write_outputs(config, system, report, summary)
@@ -352,11 +371,12 @@ def cmd_verify(trials: int = 1000, seed: int = 0, stdout=None) -> int:
 
 class _LastRecord(RunReport):
     """A sweep lane's report: it keeps only the latest record, the one
-    row a sweep prints. Every lane's full stream held at once would
-    raise the sweep's peak memory."""
+    row a sweep prints, and builds no other. Every lane's full stream
+    held at once would raise the sweep's peak memory."""
 
-    def append(self, record) -> None:
-        self.records[:] = [record]
+    def extend(self, first, *columns) -> None:
+        last = first + len(columns[0]) - 1
+        self.records[:] = [StepRecord(last, *(column[-1] for column in columns))]
 
 
 def cmd_sweep(config: RunConfig, grid: list[float], stdout=None) -> int:
@@ -371,6 +391,7 @@ def cmd_sweep(config: RunConfig, grid: list[float], stdout=None) -> int:
     """
     stdout = stdout or sys.stdout
     system, x0, base, strategy = _prepare(config)
+    _check_writable(config, ".csv")
     engine, _, direction = config.mode.partition("-")
     schedules, bad_value = [], None
     for value in grid:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import count
 
 from .errors import UsageError
 
@@ -66,6 +67,17 @@ class RunReport:
                 f"expected {len(self.records)}"
             )
         self.records.append(record)
+
+    def extend(self, first: int, *columns) -> None:
+        """Append records first, first + 1, ..., one per entry of the
+        columns: the fields after ``k`` in RECORD_FIELDS order, as
+        sequences of one length. Fields past the last column are None."""
+        if first != len(self.records):
+            raise UsageError(
+                f"records must be appended in step order; got k={first}, "
+                f"expected {len(self.records)}"
+            )
+        self.records.extend(map(StepRecord, count(first), *columns))
 
     @property
     def final(self) -> StepRecord:

@@ -18,7 +18,7 @@ from qrelax.schedules import (
     QUANTUM,
     RelaxationSchedule,
     SelectionStrategy,
-    select_index,
+    random_indices,
 )
 from qrelax.system import ROWS_NORMALIZED, LinearSystem, normalize_columns, normalize_rows
 
@@ -70,22 +70,34 @@ def test_the_default_cap_equals_one_step_chunks(monkeypatch):
 
 
 def test_a_small_run_plans_at_most_chunk_steps_past_its_end(monkeypatch):
-    # At n=2 the byte cap alone allows 2048 steps per chunk, each planned
-    # with a random draw whether or not the run is still going.
-    system, x0 = _system("row", n=2)
-    strategy = SelectionStrategy.random_uniform(6)
-    planned = []
+    # At n=2 the byte cap alone allows 2048 steps per chunk. A random run
+    # draws its indices in blocks that grow with the run, so it draws at
+    # most as many indices past its end as it took steps, or one chunk:
+    # a 38-step run and a 325-step one, past the largest block.
+    draws, stepped = [], []
 
-    def select(strategy, k, n, residual=None):
-        planned.append(k)
-        return select_index(strategy, k, n, residual=residual)
+    def draw(seed, first, count, n):
+        draws.append((first, count))
+        return random_indices(seed, first, count, n)
 
-    monkeypatch.setattr(classical, "select_index", select)
-    (report,) = classical._drive(system, x0, [RelaxationSchedule.constant(1.0)], strategy,
-                                 10**6, "row", 1e-6)[0]
-    assert report.status == "converged"
-    wasted = max(planned) + 1 - report.steps_taken
-    assert 0 <= wasted < classical.CHUNK_STEPS
+    def step(*args):
+        stepped.append(len(args[4]))  # the plan's ts
+        return run_step(*args)
+
+    run_step = classical._step
+    monkeypatch.setattr(classical, "random_indices", draw)
+    monkeypatch.setattr(classical, "_step", step)
+    for n, tol in ((2, 1e-6), (6, 1e-14)):
+        system, x0 = _system("row", n=n)
+        del draws[:], stepped[:]
+        (report,) = classical._drive(system, x0, [RelaxationSchedule.constant(1.0)],
+                                     SelectionStrategy.random_uniform(6), 10**6, "row", tol)[0]
+        assert report.status == "converged"
+        taken = report.steps_taken
+        firsts, counts = zip(*draws)
+        assert list(firsts) == [sum(counts[:i]) for i in range(len(counts))]
+        assert 0 <= sum(counts) - taken <= max(classical.CHUNK_STEPS - 1, taken)
+        assert 0 <= sum(stepped) - taken < classical.CHUNK_STEPS
 
 
 @pytest.mark.parametrize("mode", ["row", "column"])

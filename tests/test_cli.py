@@ -177,6 +177,38 @@ def test_out_in_a_missing_directory_exits_one(tmp_path, command, suffix, capsys)
     )
 
 
+@pytest.mark.parametrize("command, suffix", [
+    (["solve"], ".jsonl"), (["sweep", "--grid", "0.5,1.0"], ".csv"),
+])
+@pytest.mark.parametrize("mode", ["classical-row", "branch-row", "sim-row"])
+def test_an_unwritable_out_fails_before_the_run(monkeypatch, tmp_path, command, suffix, mode,
+                                                 capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli.classical, "_drive", no_run)
+    out = tmp_path / "missing" / "run"
+    rc = cli.main([*command, "--system", ROW_INLINE, "--format", "inline", "--mode", mode,
+                   "--x0", "1,0", "--out", str(out)])
+    assert rc == cli.EXIT_ERROR
+    assert _one_error_line(capsys) == (
+        f"error: cannot write {out}{suffix}: No such file or directory\n"
+    )
+
+
+def test_a_run_that_fails_after_the_out_check_leaves_the_out_files_as_they_were(tmp_path,
+                                                                              capsys):
+    kept = tmp_path / "run.summary.txt"
+    kept.write_text("an earlier summary\n")
+    rc = cli.main(["solve", "--system", "1,0; 0,1 | 1.5e308,0", "--format", "inline",
+                   "--x0", "e2", "--schedule", "constant:2", "--steps", "4",
+                   "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_ERROR
+    assert "non-finite at step k=1" in _one_error_line(capsys)
+    assert os.listdir(tmp_path) == ["run.summary.txt"]
+    assert kept.read_text() == "an earlier summary\n"
+
+
 def test_solve_domain_error_exits_one(capsys):
     rc = cli.main([
         "solve", "--system", ROW_INLINE, "--format", "inline",
@@ -426,6 +458,30 @@ def test_closed_stdout_exits_quietly(command):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (cli.EXIT_ERROR, b"")
+
+
+def test_random_runs_do_not_import_numpy_random():
+    # The random rule is qrelax's own copy of numpy's draw; numpy.random
+    # is only its test oracle.
+    src = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                        os.pardir, "src"))
+    script = "\n".join([
+        "import io, sys, contextlib",
+        "from qrelax import cli",
+        "loaded = 'numpy.random' in sys.modules",
+        "args = ['--system', sys.argv[1], '--format', 'inline', '--strategy', 'random',",
+        "        '--seed', '5', '--x0', '1,0']",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(['solve', '--mode', 'classical-row', *args]),",
+        "             cli.main(['sweep', '--grid', '0.5,1.0', *args])]",
+        "print(loaded, codes, 'numpy.random' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script, ROW_INLINE], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stderr == ""
+    if proc.stdout.startswith("True"):
+        pytest.skip("importing numpy loads numpy.random (numpy < 2)")
+    assert proc.stdout == "False [0, 0] False\n"
 
 
 BAD_RUN_FLAGS = {

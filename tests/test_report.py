@@ -61,3 +61,16 @@ def test_step_record_is_frozen_and_compact():
     }
     assert record == make_record(3, t=2, relaxation=0.5, error_norm=0.1)
     assert record != make_record(3, t=2, relaxation=0.5, error_norm=0.2)
+
+
+def test_extend_appends_the_records_of_its_columns():
+    report = RunReport()
+    report.extend(0, [None, 2], [None, 0.5], [1.0, 0.8], [0.5, 0.25])
+    report.extend(2, [1], [0.5], [0.7], [0.2], [0.1], [0.3], [0.09], [1.0])
+    assert report.records == [
+        make_record(0, x_norm=1.0, residual_norm=0.5),
+        make_record(1, t=2, relaxation=0.5, x_norm=0.8, residual_norm=0.25),
+        StepRecord(2, 1, 0.5, 0.7, 0.2, 0.1, 0.3, 0.09, 1.0),
+    ]
+    with pytest.raises(UsageError):
+        report.extend(4, [1], [0.5], [0.7], [0.2])

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qrelax import schedules
+from qrelax.classical import DRAW_STEPS
 from qrelax.errors import DomainError, UsageError
 from qrelax.schedules import (
     CLASSICAL,
@@ -8,6 +12,7 @@ from qrelax.schedules import (
     RelaxationSchedule,
     SelectionStrategy,
     check_domain,
+    random_indices,
     relaxation_at,
     select_index,
 )
@@ -131,3 +136,66 @@ def test_random_uniform_rejects_a_negative_seed():
     with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
         SelectionStrategy.random_uniform(seed=-1)
     assert SelectionStrategy.random_uniform(seed=0).seed == 0
+
+
+def _numpy_draws(seed, first, count, n):
+    """The random rule's definition, one generator per k."""
+    return [int(np.random.default_rng((seed, k)).integers(1, n + 1))
+            for k in range(first, first + count)]
+
+
+# One-word seeds on both sides of 2**32, and seeds of 2, 3 and 6 words;
+# with 6 words, seed and k overflow the pool of 4.
+SEEDS = (0, 3, 2**32 - 1, 2**32, 2**40 + 5, 2**70 + 3, 2**160 + 7)
+# n = 3 * 2**30 rejects a quarter of the 32-bit draws.
+SIZES = (1, 2, 3, 50, 1000, 2**31 + 7, 3 * 2**30)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_indices_are_numpys_draws(seed):
+    array = schedules._ARRAY_DRAWS
+    runs = [(0, 1), (7, 1), (2**32 - 1, 1), (2**32, 1), (2**64 - 1, 1),  # one k, Python ints
+            (5, array - 1), (5, array),  # either side of a hash over arrays
+            (2**32 - 20, 40), (2**64 - 20, 40)]  # blocks across the words of k
+    for n in SIZES:
+        for first, count in runs:
+            assert random_indices(seed, first, count, n) == _numpy_draws(seed, first, count, n)
+
+
+def test_a_full_block_of_random_indices_is_numpys():
+    assert random_indices(3, 1000, DRAW_STEPS, 50) == _numpy_draws(3, 1000, DRAW_STEPS, 50)
+
+
+def _halves_used(seed, k, n):
+    """How many 32-bit halves numpy's draw took: 1 (the low half of the
+    first output), 2 (its high half) or 3 (a second output)."""
+    drawn = np.random.default_rng((seed, k)).bit_generator
+    drawn.random_raw()  # PCG64 after its first output
+    rng = np.random.default_rng((seed, k))
+    rng.integers(1, n + 1)
+    if rng.bit_generator.state["state"] != drawn.state["state"]:
+        return 3
+    return 1 if rng.bit_generator.state["has_uint32"] else 2
+
+
+def test_random_indices_follow_numpys_rejections():
+    n, seed, count = 3 * 2**30, 11, 400
+    used = [_halves_used(seed, k, n) for k in range(count)]
+    assert set(Counter(used)) == {1, 2, 3}
+    expected = _numpy_draws(seed, 0, count, n)
+    assert random_indices(seed, 0, count, n) == expected
+    rejected = [k for k in range(count) if used[k] > 1]
+    assert [random_indices(seed, k, 1, n)[0] for k in rejected] == [expected[k] for k in rejected]
+
+
+def test_select_index_draws_the_random_rule():
+    strategy = SelectionStrategy.random_uniform(seed=2**40 + 5)
+    assert [select_index(strategy, k, 7) for k in range(20)] == _numpy_draws(2**40 + 5, 0, 20, 7)
+
+
+def test_random_indices_reject_what_numpy_would_not_draw_in_32_bits():
+    with pytest.raises(UsageError, match="n < 2\\*\\*32"):
+        random_indices(0, 0, 1, 2**32)
+    with pytest.raises(UsageError, match=">= 0"):
+        random_indices(0, -1, 1, 5)
+    assert random_indices(0, 5, 0, 5) == []
