@@ -90,7 +90,6 @@ class _BranchTracker:
         self.mode, self.system, self.v, self.delta = mode, system, start.v, start.delta
 
     def advance(self, k: int, t: int, value: float) -> None:
-        check_domain(value, QUANTUM, k)
         self.v = next_denominator(self.mode, self.v, self.system, t, self.delta)
 
     def observe(self, x: np.ndarray, x_norm: float):
@@ -105,7 +104,7 @@ def run_branch(
     strategy: SelectionStrategy,
     max_steps: int,
     mode: str,
-    tol: float = 1e-10,
+    tol: float = classical.DEFAULT_TOL,
 ) -> RunReport:
     """Compressed run with the same record schema as the statevector runs."""
     reports, _ = classical._drive(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -21,17 +20,20 @@ from .report import CONVERGED, RunReport
 from .schedules import (
     CLASSICAL,
     GREEDY_RESIDUAL,
-    RANDOM_UNIFORM,
+    QUANTUM,
     RelaxationSchedule,
     SelectionStrategy,
-    random_indices,
-    relaxation_at,
+    index_block,
+    relaxation_block,
+    rule_horizon,
     select_index,
 )
 from .system import COLUMNS_NORMALIZED, ROWS_NORMALIZED, LinearSystem, require_normalization
 
 ROW = "row"
 COLUMN = "column"
+# The residual norm at which a run converges when its caller gives no tol.
+DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def run_classical(
     strategy: SelectionStrategy,
     max_steps: int,
     mode: str,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> RunReport:
     """Iterate until the residual norm drops to ``tol`` or ``max_steps``.
 
@@ -157,33 +159,32 @@ def _products(matrix, v, out=None):
 # that of one-step chunks.
 CHUNK_BYTES = 32 * 1024
 CHUNK_STEPS = 16
-# The most random indices one refill draws (see _RandomDraws).
+# The most indices one refill takes (see _Lookahead).
 DRAW_STEPS = 256
 
 
-class _RandomDraws:
-    """The random rule's indices of the steps ahead, drawn in blocks by
-    ``random_indices``; only the current block is kept.
+class _Lookahead:
+    """The indices of the steps ahead under a rule that does not read the
+    iterate, from ``index_block`` in blocks; only the current block is kept.
 
     When a chunk of steps from step k runs past the block, the block is
     refilled up to step k + max(steps, min(DRAW_STEPS, k)): the first
     block is the first chunk, and later ones grow with the run. The run
-    goes on past step k, so it draws at most max(CHUNK_STEPS - 1, steps
-    taken) indices past its last record.
+    goes on past step k, so a random run draws at most
+    max(CHUNK_STEPS - 1, steps taken) indices past its last record.
     """
 
-    def __init__(self, seed, n):
-        self.seed, self.n, self.first, self.ts = seed, n, 0, []
+    def __init__(self, strategy, n):
+        self.strategy, self.n, self.first, self.ts = strategy, n, 0, []
 
-    def cover(self, k, steps):
+    def __call__(self, k, steps):
+        """The indices of steps k, ..., k + steps - 1."""
         end = self.first + len(self.ts)
         if end < k + steps:
             stop = k + max(steps, min(DRAW_STEPS, k))
-            self.ts = self.ts[k - self.first:] + random_indices(self.seed, end, stop - end, self.n)
-            self.first = k
-
-    def __call__(self, step):
-        return self.ts[step - self.first]
+            ahead = index_block(self.strategy, end, stop - end, self.n)
+            self.ts, self.first = self.ts[k - self.first:] + ahead, k
+        return self.ts[k - self.first:k - self.first + steps]
 
 
 # _require_finite reports overflow; numpy's warnings would only precede it.
@@ -193,16 +194,20 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     """The run loop shared by every engine: one lane per schedule, all
     lanes in lockstep; returns (reports, trackers), one of each per lane.
 
+    At its start the run works out each lane's horizon (``rule_horizon``):
+    the first step its selection or schedule cannot serve in the run's
+    domain, the quantum one when there are trackers. A horizon at or past
+    ``max_steps`` is none.
+
     The live lanes are the rows of one (lanes, n) block of iterates and
     one of residuals, and the loop runs them in chunks of steps, each in
     four phases:
 
-    - plan: the index t and each lane's relaxation for up to C steps.
-      Cyclic, random and seq selection do not read the iterate, so they
-      plan ahead; greedy selection reads the residual (A^T r in column
-      mode) of every step, so its chunks are one step long. A selection
-      or relaxation that raises ends the plan before its step, and fails
-      the lanes it hits once the chunk before it is done.
+    - plan: the index t and each lane's relaxation for up to C steps,
+      slices of ``relaxation_block`` and of the ``_Lookahead``. Greedy
+      selection reads the residual (A^T r in column mode) of every step,
+      so its chunks are one step long. No chunk steps past the nearest
+      horizon of a live lane.
     - step (``_step``): only the iterates (and, in column mode, the
       carried residuals) move, into a chunk that stacks the (lanes, n)
       blocks of every step.
@@ -211,8 +216,8 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
       [X; R; X - x*] (in ``_record``).
     - emit (``_record``): lane by lane in step order, the records go to
       each lane's ``report_type()``. A lane's first converged record,
-      first non-finite record or failed tracker step ends its chunk
-      there, so at most C - 1 steps are wasted.
+      first non-finite record, failed tracker step or horizon record
+      ends its chunk there, so at most C - 1 steps are wasted.
 
     C is the most steps whose (steps, lanes, n) iterate block fits in
     ``CHUNK_BYTES``, at most ``CHUNK_STEPS`` and at least 1; it grows as
@@ -246,96 +251,52 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     kind = ROWS_NORMALIZED if mode == ROW else COLUMNS_NORMALIZED
     require_normalization(system, kind, f"{mode}-mode run")
     trackers = [None if track is None else track(system, x0) for _ in schedules]
+    domain = CLASSICAL if track is None else QUANTUM
+    horizons = [rule_horizon(strategy, schedule, domain, system.n) for schedule in schedules]
+    horizons = [(k, error) if k < max_steps else (math.inf, None) for k, error in horizons]
     x_star = _solution_of(system)
     greedy = strategy.variant == GREEDY_RESIDUAL
-    draws = _RandomDraws(strategy.seed, system.n) if strategy.variant == RANDOM_UNIFORM else None
-    select = partial(select_index, strategy, n=system.n) if draws is None else draws
+    lookahead = None if greedy else _Lookahead(strategy, system.n)
     matrix = system.matrix
 
     reports = [report_type() for _ in schedules]
-    failures = {}
+    error = None
     lanes = list(range(len(schedules)))  # the lane of each block row
-    # The chunk: ts[j] and values[j] are the selections of step first + j,
-    # one entry per block row, and chunk[0] and chunk[1] the iterates and
-    # residuals after each step, one block after another; chunk[2] gets
-    # their errors when there is an x*.
+    # The chunk: ts[j] holds step first + j's index per block row and
+    # values[row] a block row's relaxations, one per step; chunk[0] and
+    # chunk[1] hold the iterates and residuals after each step, one block
+    # after another, and chunk[2] their errors when there is an x*.
     chunk = np.empty((2 if x_star is None else 3, len(lanes), system.n))
     chunk[0], chunk[1] = x0, system.residual(x0)
-    first, x, residual = 0, chunk[0], chunk[1]
-    ts = values = [[None] * len(lanes)]
-    while first <= max_steps:
-        kept = _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, failures)
+    first = 0
+    ts, values = [[None] * len(lanes)], [[None]] * len(lanes)
+    while True:
+        kept, failure = _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol,
+                                horizons)
+        error = error if failure is None else failure
         k, last = first + len(ts) - 1, slice(-len(lanes), None)
-        lanes, x, residual = _keep(kept, failures, lanes, chunk[0, last], chunk[1, last])
+        x, residual = chunk[0, last], chunk[1, last]
+        if len(kept) < len(lanes):
+            lanes, x, residual = [lanes[row] for row in kept], x[kept], residual[kept]
         if k == max_steps or not lanes:
             break
 
         if greedy:
             context = residual if mode == ROW else _products(matrix.T, residual)
-            steps = 1
+            ts = [[select_index(strategy, k, system.n, c) for c in context]]
         else:
-            context = None
-            steps = min(max(1, CHUNK_BYTES // x.nbytes), CHUNK_STEPS, max_steps - k)
-        if draws is not None:
-            draws.cover(k, steps)
-        failed = len(failures)
-        ts, values = _plan(select, schedules, lanes, k, steps, context, failures)
-        if not ts:
-            break
-        if len(failures) > failed:  # at step k, so the plan is that one step
-            kept = [row for row, lane in enumerate(lanes) if lane not in failures]
-            lanes, x, residual, ts[0], values[0] = _keep(
-                kept, failures, lanes, x, residual, ts[0], values[0]
-            )
-            if not lanes:
-                break
+            horizon = min(horizons[lane][0] for lane in lanes)
+            steps = min(max(1, CHUNK_BYTES // x.nbytes), CHUNK_STEPS, max_steps - k, horizon - k)
+            ts = [[t] * len(lanes) for t in lookahead(k, steps)]
+        values = [relaxation_block(schedules[lane], k, len(ts)) for lane in lanes]
         chunk = _step(mode, system, x, residual, ts, values, greedy, len(chunk))
         first = k + 1
 
-    if failures:
-        raise failures[min(failures)]
+    if error is not None:
+        raise error
     for row, lane in enumerate(lanes):
         reports[lane].final_x = x[row].copy()
     return reports, trackers
-
-
-def _plan(select, schedules, lanes, k, steps, context, failures):
-    """The selections of up to ``steps`` steps from step k, as lists
-    ``ts`` and ``values`` with one per-lane list per step; ``select(step)``
-    or, for the greedy rule, ``select(step, residual=...)`` is the index.
-
-    A selection or relaxation that raises ends the plan before its
-    step. At step k itself it fails the lanes it hits instead (every
-    lane, for a selection), and the plan is that one step, with None
-    for the values of failed lanes. ``context`` holds each lane's
-    greedy context, and is None for the other rules.
-    """
-    ts, values, errors = [], [], {}
-    for step in range(k, k + steps):
-        try:
-            if context is None:
-                chosen = [select(step)] * len(lanes)
-            else:
-                chosen = [select(step, residual=c) for c in context]
-        except QrelaxError as exc:
-            if step == k:
-                failures.update(dict.fromkeys(lanes, exc))
-            break
-        relaxations = []
-        for lane in lanes:
-            try:
-                relaxations.append(relaxation_at(schedules[lane], step))
-            except QrelaxError as exc:
-                relaxations.append(None)
-                errors[lane] = exc
-        if errors and step > k:
-            break
-        ts.append(chosen)
-        values.append(relaxations)
-        if errors:
-            failures.update(errors)
-            break
-    return ts, values
 
 
 def _step(mode, system, x, residual, ts, values, greedy, depth):
@@ -347,7 +308,7 @@ def _step(mode, system, x, residual, ts, values, greedy, depth):
     chunk = np.empty((depth, len(ts) * width, x.shape[1]))
     xs, rs = chunk[0], chunk[1]
     if mode == ROW:
-        scales = np.array(values)
+        scales = np.array(values).T
         for j, chosen in enumerate(ts):
             # One t for every lane: an int index takes a row view, not a
             # gathered copy per lane.
@@ -361,29 +322,16 @@ def _step(mode, system, x, residual, ts, values, greedy, depth):
     # column_step on each row of a copy of the last block. Its dot with
     # the strided column view sums in another order than a dot over a
     # contiguous copy, so it stays one dot per lane.
-    for j, (chosen, relaxations) in enumerate(zip(ts, values)):
+    for j, chosen in enumerate(ts):
         block = slice(j * width, (j + 1) * width)
         xs[block], rs[block] = x, residual
         x, residual = xs[block], rs[block]
-        for row, (t, value) in enumerate(zip(chosen, relaxations)):
+        for row, t in enumerate(chosen):
             column = matrix[:, t - 1]
-            update = value * float(column @ residual[row])
+            update = values[row][j] * float(column @ residual[row])
             x[row, t - 1] += update
             residual[row] -= update * column
     return chunk
-
-
-def _keep(rows, failures, lanes, x, residual, *lists):
-    """The block cut to ``rows``, less the rows of lanes after the first
-    failed lane: ``lanes`` and ``lists`` are lists, ``x`` and ``residual``
-    arrays, each with one entry per row."""
-    if failures:
-        first = min(failures)
-        rows = [row for row in rows if lanes[row] < first]
-    if len(rows) == len(lanes):
-        return (lanes, x, residual, *lists)
-    cut = [[entries[row] for row in rows] for entries in (lanes, *lists)]
-    return (cut[0], x[rows], residual[rows], *cut[1:])
 
 
 def _require_finite(k, x, residual):
@@ -401,23 +349,25 @@ def _require_finite(k, x, residual):
             )
 
 
-def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, failures):
+def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, horizons):
     """Measures a chunk and emits its records; returns the block rows
-    whose lanes run on.
+    whose lanes run on and the error of the lane that failed, or None.
 
     Row j * lanes + row of ``chunk[0]`` and ``chunk[1]`` is the iterate
     and residual of block row ``row`` after step first + j, made by
-    ``ts[j][row]`` and ``values[j][row]`` (None at k=0); its error
+    ``ts[j][row]`` and ``values[row][j]`` (None at k=0); its error
     against ``x_star`` goes to ``chunk[2]``. A lane's records run in
     step order up to its cut, found for the whole chunk with a few numpy
     calls: its first record that converged or whose norm is not finite.
     A non-finite norm of finite vectors (entries above about 1e154) is
     emitted and the lane goes on; an overflow fails the lane at that
-    record. A tracker is advanced and observed record by record up to
-    the cut, as in a step-by-step loop, and a step it fails ends the
-    lane there. Each lane's records then go to its report in one
-    ``extend``. A failed lane's error goes to ``failures``, and the
-    lanes after it are not emitted, since they leave with it.
+    record. A lane with no earlier cut that reaches its horizon record
+    (``horizons[lane]``, the last record of a chunk) is emitted up to it
+    and fails there with the horizon's error. A tracker is advanced and
+    observed record by record up to the cut, as in a step-by-step loop,
+    and a step it fails ends the lane there. Each lane's records then go
+    to its report in one ``extend``. The lanes after a failed lane are
+    not emitted, since they leave with it.
     """
     if x_star is not None:
         np.subtract(chunk[0], x_star, out=chunk[2])
@@ -431,7 +381,7 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, fai
     fields = norms.transpose(0, 2, 1).tolist()
     if x_star is None:
         fields.append([[None] * len(ts)] * width)
-    lane_ts, lane_values = list(zip(*ts)), list(zip(*values))
+    lane_ts = list(zip(*ts))
     kept = []
     for row, lane in enumerate(lanes):
         x_norm, residual_norm, error = (field[row] for field in fields)
@@ -448,13 +398,15 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, fai
                 cut = j
                 break
         end = len(ts) if cut is None else cut + (failure is None)
+        if cut is None and first + end - 1 == horizons[lane][0]:
+            failure = horizons[lane][1]
         observed = ()
         if trackers[lane] is not None:
             tracker, observed = trackers[lane], []
             for j in range(len(ts) if cut is None else cut + 1):
                 if lane_ts[row][j] is not None:
                     try:
-                        tracker.advance(first + j - 1, lane_ts[row][j], lane_values[row][j])
+                        tracker.advance(first + j - 1, lane_ts[row][j], values[row][j])
                     except QrelaxError as exc:
                         cut, failure, end = j, exc, j
                         break
@@ -462,14 +414,13 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, fai
             observed = zip(*observed)  # amplitudes, probabilities, fidelities
         report = reports[lane]
         if end:
-            columns = (lane_ts[row], lane_values[row], x_norm, residual_norm, error, *observed)
+            columns = (lane_ts[row], values[row], x_norm, residual_norm, error, *observed)
             report.extend(first, *(column[:end] for column in columns))
         if failure is not None:
-            failures[lane] = failure
-            break
+            return kept, failure
         if cut is None:
             kept.append(row)
         else:
             report.status = CONVERGED
             report.final_x = chunk[0, cut * width + row].copy()
-    return kept
+    return kept, None

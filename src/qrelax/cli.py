@@ -58,7 +58,7 @@ class RunConfig:
     schedule: str = "constant:1.0"
     strategy: str = "cyclic"
     steps: int = 100
-    tol: float = 1e-10
+    tol: float = classical.DEFAULT_TOL
     seed: int = 0
     mem_limit: int = statevector.DEFAULT_MEM_LIMIT
     out: str | None = None

@@ -157,16 +157,9 @@ def column_update_core(t: int, omega: float, n: int) -> BlockUnitary:
         raise UsageError(f"index t={t} outside 1..{n}")
     p = np.zeros((n, n))
     p[t - 1, t - 1] = 1.0
-    eye = np.eye(n)
-    coupling = math.sqrt(max(2.0 * omega * (1.0 - omega), 0.0))
-    core = np.block(
-        [
-            [eye - omega * p, omega * p, coupling * p],
-            [omega * p, eye - omega * p, -coupling * p],
-            [coupling * p, -coupling * p, 2.0 * omega * p - eye],
-        ]
-    )
-    return BlockUnitary(core, n, (3, 3), LABEL_W_CORE)
+    # The 3x3 core of the reflection grid with its slots 1 and 2 swapped.
+    slots = np.r_[0:n, 2 * n:3 * n, n:2 * n]
+    return BlockUnitary(_reflection_grid(p, omega)[np.ix_(slots, slots)], n, (3, 3), LABEL_W_CORE)
 
 
 def column_update_unitary(t: int, omega: float, n: int) -> BlockUnitary:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, QrelaxError, UsageError
 
 # Classically the relaxed iterations converge for values in [0, 2]; the
 # unitary constructions additionally need sqrt(2*lam*(1-lam)) real, which
@@ -58,23 +59,25 @@ class RelaxationSchedule:
         return cls(DECAYING, domain, value=float(initial))
 
 
+def relaxation_block(schedule: RelaxationSchedule, first: int, count: int) -> list[float]:
+    """The relaxations of steps first, ..., first + count - 1, unchecked:
+    valid for the steps before the schedule's horizon (``rule_horizon``)."""
+    if schedule.variant == CONSTANT:
+        return [schedule.value] * count
+    if schedule.variant == DECAYING:
+        return [schedule.value / (k + 1) for k in range(first, first + count)]
+    if schedule.variant == SEQUENCE:
+        return list(schedule.values[first:first + count])
+    raise UsageError(f"unknown schedule variant {schedule.variant!r}")
+
+
 def relaxation_at(schedule: RelaxationSchedule, k: int) -> float:
     """Relaxation value at step k (k >= 0), guaranteed inside the domain."""
     if k < 0:
         raise UsageError(f"step index k={k} must be non-negative")
-    if schedule.variant == CONSTANT:
-        value = schedule.value
-    elif schedule.variant == DECAYING:
-        value = schedule.value / (k + 1)
-    elif schedule.variant == SEQUENCE:
-        if k >= len(schedule.values):
-            raise UsageError(
-                f"explicit schedule has {len(schedule.values)} entries, none for k={k}"
-            )
-        value = schedule.values[k]
-    else:
-        raise UsageError(f"unknown schedule variant {schedule.variant!r}")
-    return check_domain(value, schedule.domain, k)
+    if schedule.variant == SEQUENCE and k >= len(schedule.values):
+        raise UsageError(f"explicit schedule has {len(schedule.values)} entries, none for k={k}")
+    return check_domain(relaxation_block(schedule, k, 1)[0], schedule.domain, k)
 
 
 CYCLIC = "cyclic"
@@ -129,10 +132,6 @@ def select_index(strategy: SelectionStrategy, k: int, n: int, residual=None) -> 
         raise UsageError(f"step index k={k} must be non-negative")
     if n < 1:
         raise UsageError(f"dimension n={n} must be positive")
-    if strategy.variant == CYCLIC:
-        return (k % n) + 1
-    if strategy.variant == RANDOM_UNIFORM:
-        return random_indices(strategy.seed, k, 1, n)[0]
     if strategy.variant == GREEDY_RESIDUAL:
         if residual is None:
             raise UsageError("greedy-residual selection needs the residual context")
@@ -144,11 +143,68 @@ def select_index(strategy: SelectionStrategy, k: int, n: int, residual=None) -> 
             raise UsageError(
                 f"explicit index list has {len(strategy.indices)} entries, none for k={k}"
             )
-        t = strategy.indices[k]
-        if t > n:
-            raise UsageError(f"index t={t} outside 1..{n}")
-        return t
+        if strategy.indices[k] > n:
+            raise UsageError(f"index t={strategy.indices[k]} outside 1..{n}")
+    return index_block(strategy, k, 1, n)[0]
+
+
+def index_block(strategy: SelectionStrategy, first: int, count: int, n: int) -> list[int]:
+    """The indices of steps first, ..., first + count - 1 under cyclic,
+    random or explicit selection, unchecked: valid for the steps before
+    the rule's horizon (``rule_horizon``)."""
+    if strategy.variant == CYCLIC:
+        return [(k % n) + 1 for k in range(first, first + count)]
+    if strategy.variant == RANDOM_UNIFORM:
+        return random_indices(strategy.seed, first, count, n)
+    if strategy.variant == EXPLICIT_INDICES:
+        return list(strategy.indices[first:first + count])
     raise UsageError(f"unknown strategy variant {strategy.variant!r}")
+
+
+def _raised(call, *args):
+    """The QrelaxError that ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except QrelaxError as exc:
+        return exc
+    return None
+
+
+def _value_in(schedule, domain, k):
+    return check_domain(relaxation_at(schedule, k), domain, k)
+
+
+def rule_horizon(strategy: SelectionStrategy, schedule: RelaxationSchedule, domain: str, n: int):
+    """(k, error): the first step k whose index selection, relaxation or
+    relaxation value in ``domain`` fails, and the QrelaxError it raises
+    there, a selection's before a relaxation's; (inf, None) when every
+    step is served. n is at least 1.
+
+    Only explicit lists vary with k; they take one array pass. Every
+    other rule serves every step as it serves step 0: a decaying value
+    only falls toward 0, the lower bound of both domains. No random
+    index is drawn: a block of no steps checks the random rule's n.
+    """
+    if strategy.variant == EXPLICIT_INDICES:
+        # The first entry past n, or else the end of the list.
+        select_at = int(np.argmax(np.array(strategy.indices + (n + 1,)) > n))
+    elif strategy.variant == GREEDY_RESIDUAL or not _raised(index_block, strategy, 0, 0, n):
+        select_at = math.inf
+    else:
+        select_at = 0
+    if schedule.variant == SEQUENCE:
+        # The first value outside both domains, or else the end of the list.
+        (lo, hi), (run_lo, run_hi) = DOMAIN_BOUNDS[schedule.domain], DOMAIN_BOUNDS[domain]
+        values = np.array(schedule.values + (math.nan,))
+        value_at = int(np.argmax(~((max(lo, run_lo) <= values) & (values <= min(hi, run_hi)))))
+    else:
+        value_at = 0 if _raised(_value_in, schedule, domain, 0) else math.inf
+    k = min(select_at, value_at)
+    if k == math.inf:
+        return k, None
+    if select_at == k:
+        return k, _raised(select_index, strategy, k, n)
+    return k, _raised(_value_in, schedule, domain, k)
 
 
 # --- the random rule ---------------------------------------------------------

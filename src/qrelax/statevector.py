@@ -54,7 +54,7 @@ from .encodings import (
     state_prep_col,
 )
 from .errors import InvariantViolation, KeyWidthError, ResourceError, UsageError
-from .schedules import QUANTUM, RelaxationSchedule, SelectionStrategy, check_domain
+from .schedules import RelaxationSchedule, SelectionStrategy
 from .system import COLUMNS_NORMALIZED, ROWS_NORMALIZED, LinearSystem, require_normalization
 
 NORM_TOL = 1e-10
@@ -484,7 +484,6 @@ class _RowTracker(_Tracker):
         self.state = assert_normalized(init_row_state(x0))
 
     def advance(self, k: int, t: int, lam: float) -> None:
-        check_domain(lam, QUANTUM, k)
         # Rebinding self.state drops each input as soon as its successor exists.
         self.state = assert_normalized(prepare_Y(self.state, self.system, t))
         self.state = assert_normalized(
@@ -501,7 +500,6 @@ class _ColumnTracker(_Tracker):
     def advance(self, k: int, t: int, omega: float) -> None:
         if self.r_state is None:
             raise UsageError("x0 already solves the system; the residual register is empty")
-        check_domain(omega, QUANTUM, k)
         self.state, self.r_state = _column_iteration(
             self.state, self.r_state, self.system, t, omega, self.delta, self.mem_limit
         )
@@ -515,7 +513,7 @@ def run_algorithm1(
     schedule: RelaxationSchedule,
     strategy: SelectionStrategy,
     max_steps: int,
-    tol: float = 1e-10,
+    tol: float = classical.DEFAULT_TOL,
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
     """Full row-method simulation; returns (report, final state)."""
@@ -532,7 +530,7 @@ def run_algorithm2(
     schedule: RelaxationSchedule,
     strategy: SelectionStrategy,
     max_steps: int,
-    tol: float = 1e-10,
+    tol: float = classical.DEFAULT_TOL,
     mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
     """Full column-method simulation; returns (report, x state, r state)."""

@@ -11,8 +11,8 @@ import pytest
 
 from helpers import random_consistent, random_unit
 from test_replay import _replay
-from qrelax import branch, classical, statevector as sv
-from qrelax.errors import QrelaxError
+from qrelax import branch, classical, schedules, statevector as sv
+from qrelax.errors import DomainError, QrelaxError, UsageError
 from qrelax.schedules import (
     CLASSICAL,
     QUANTUM,
@@ -85,7 +85,7 @@ def test_a_small_run_plans_at_most_chunk_steps_past_its_end(monkeypatch):
         return run_step(*args)
 
     run_step = classical._step
-    monkeypatch.setattr(classical, "random_indices", draw)
+    monkeypatch.setattr(schedules, "random_indices", draw)
     monkeypatch.setattr(classical, "_step", step)
     for n, tol in ((2, 1e-6), (6, 1e-14)):
         system, x0 = _system("row", n=n)
@@ -289,3 +289,126 @@ def test_chunked_classical_runs_replay_through_the_step_functions(monkeypatch):
                 it = classical.column_step(it, system, t, value)
         assert it.x.tolist() == final_x
         assert not math.isnan(records[-1].error_norm)
+
+
+def _strict_minima(records, lo, hi):
+    """The k in lo..hi whose residual is below that of every earlier record."""
+    norms = [r.residual_norm for r in records]
+    return [k for k in range(lo, hi + 1) if norms[k] < min(norms[:k])]
+
+
+@pytest.mark.parametrize("mode", ["row", "column"])
+@pytest.mark.parametrize("rule", ["schedule", "strategy"])
+def test_a_seq_rule_of_l_entries_that_converges_at_record_l(monkeypatch, mode, rule):
+    # A lane whose rule has entries for steps 0..L-1 and that converges at
+    # record L ends converged: record L needs no step L.
+    system, x0 = _system(mode)
+
+    def run(length, tol, steps=3 * C):
+        if rule == "schedule":
+            schedule = RelaxationSchedule.explicit([1.0] * length)
+            strategy = SelectionStrategy.cyclic()
+        else:
+            schedule = RelaxationSchedule.constant(1.0)
+            strategy = SelectionStrategy.explicit([(k % N) + 1 for k in range(length)])
+        return lambda: classical._drive(system, x0, [schedule], strategy, steps, mode, tol)[0]
+
+    (_, records, _), = _outcome(monkeypatch, 1, run(3 * C, 0.0))
+    lengths = _strict_minima(records, C, 2 * C)
+    assert lengths
+    for length in lengths:
+        (status, chunked, _), = _same_as_one_step_chunks(
+            monkeypatch, run(length, records[length].residual_norm), _cap(C)
+        )
+        assert status == "converged" and chunked[-1].k == length
+        # A budget of exactly L steps ends at max-steps, not at the rule's end.
+        (status, chunked, _), = _same_as_one_step_chunks(
+            monkeypatch, run(length, 0.0, steps=length), _cap(C)
+        )
+        assert status == "max-steps" and chunked[-1].k == length
+
+
+def _quantum_runs(mode, schedule, steps):
+    """``run_branch`` and the statevector run of ``mode`` on one schedule."""
+    system, x0 = _system(mode, seed=8, n=3)
+    run_sim = sv.run_algorithm1 if mode == "row" else sv.run_algorithm2
+    args = (system, x0, schedule, SelectionStrategy.cyclic(), steps)
+    return [lambda: [branch.run_branch(*args, mode, tol=0.0)],
+            lambda: [run_sim(*args, tol=0.0)[0]]]
+
+
+@pytest.mark.parametrize("mode", ["row", "column"])
+def test_a_classical_schedule_on_a_quantum_engine(monkeypatch, mode):
+    schedule = RelaxationSchedule.explicit([0.5, 1.5], CLASSICAL)
+    for run in _quantum_runs(mode, schedule, 5):
+        assert _same_as_one_step_chunks(monkeypatch, run, _cap(C, n=3)) == (
+            DomainError, "relaxation value 1.5 at step k=1 outside the quantum domain")
+    for run in _quantum_runs(mode, schedule, 1):
+        (status, records, _), = _same_as_one_step_chunks(monkeypatch, run, _cap(C, n=3))
+        assert status == "max-steps" and [r.relaxation for r in records] == [None, 0.5]
+    for run in _quantum_runs(mode, RelaxationSchedule.decaying(1.5, CLASSICAL), 5):
+        assert _same_as_one_step_chunks(monkeypatch, run, _cap(C, n=3)) == (
+            DomainError, "relaxation value 1.5 at step k=0 outside the quantum domain")
+
+
+@pytest.mark.parametrize("mode", ["row", "column"])
+def test_the_first_lane_to_leave_the_quantum_domain_names_the_error(monkeypatch, mode):
+    # Lane 1 leaves the quantum domain at k=6 and lane 2 at k=3: the
+    # error is lane 1's, as running the lanes one after another gives.
+    system, x0 = _system(mode)
+    schedules = [RelaxationSchedule.explicit([0.5] * 40, CLASSICAL)] + [
+        RelaxationSchedule.explicit([0.5] * out + [1.5] * (40 - out), CLASSICAL)
+        for out in (C + 2, 3)
+    ]
+
+    def run():
+        return classical._drive(system, x0, schedules, SelectionStrategy.cyclic(), 3 * C, mode,
+                                0.0, partial(branch._BranchTracker, mode))[0]
+
+    assert _same_as_one_step_chunks(monkeypatch, run, _cap(C, 3)) == (
+        DomainError, f"relaxation value 1.5 at step k={C + 2} outside the quantum domain")
+
+
+@pytest.mark.parametrize("mode", ["row", "column"])
+def test_a_selection_error_comes_before_a_relaxation_error(monkeypatch, mode):
+    # Step C + 1 picks t = N + 1, the step where lane 0's schedule runs out.
+    system, x0 = _system(mode)
+    strategy = SelectionStrategy.explicit([(k % N) + 1 for k in range(C + 1)] + [N + 1, 1])
+    schedules = [RelaxationSchedule.explicit([1.0] * (C + 1)), RelaxationSchedule.constant(1.0)]
+
+    def run():
+        return classical._drive(system, x0, schedules, strategy, 3 * C, mode, 0.0)[0]
+
+    assert _same_as_one_step_chunks(monkeypatch, run, _cap(C, 2)) == (
+        UsageError, f"index t={N + 1} outside 1..{N}")
+
+
+def test_an_overflow_at_the_horizon_record_wins(monkeypatch):
+    # The relaxed step 2 on row 1 overflows record 3, the last record the
+    # three-entry schedule can reach.
+    schedules = [RelaxationSchedule.explicit([0.0, 0.0, 2.0])]
+
+    def run():
+        return classical._drive(_overflowing(), np.array([0.0, 1.0]), schedules,
+                                SelectionStrategy.cyclic(), 12, "row", 0.0)[0]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_as_one_step_chunks(monkeypatch, run, _cap(C, 1, 2)) == (
+            QrelaxError, "iterate became non-finite at step k=3 (overflow); "
+                         "lower the relaxation or rescale the system")
+
+
+def test_a_tracker_error_at_the_horizon_record_wins(monkeypatch):
+    # The memory guard trips on step 4, the step to record 5, the last
+    # record the five-entry schedule can reach.
+    rng = np.random.default_rng(3)
+    system = normalize_rows(random_consistent(rng, 3)[0])
+    schedule = RelaxationSchedule.explicit([0.5] * 5, QUANTUM)
+
+    def run():
+        return [sv.run_algorithm1(system, np.eye(3)[0], schedule, SelectionStrategy.cyclic(), 12,
+                                  tol=0.0, mem_limit=20_000)[0]]
+
+    error_type, text = _same_as_one_step_chunks(monkeypatch, run, _cap(3, n=3))
+    assert error_type.__name__ == "ResourceError"
+    assert text.startswith("statevector at iteration k=4 needs ")
