@@ -89,12 +89,13 @@ class _BranchTracker:
         start = init_row_branch(x0) if mode == classical.ROW else init_column_branch(x0, system)
         self.mode, self.system, self.v, self.delta = mode, system, start.v, start.delta
 
-    def advance(self, k: int, t: int, value: float) -> None:
-        self.v = next_denominator(self.mode, self.v, self.system, t, self.delta)
-
-    def observe(self, x: np.ndarray, x_norm: float):
-        amplitude = x_norm / self.v
-        return amplitude, amplitude**2, 1.0
+    def extend(self, first, ts, values, xs, x_norms):
+        amplitudes = []
+        for t, x_norm in zip(ts, x_norms):
+            if t is not None:
+                self.v = next_denominator(self.mode, self.v, self.system, t, self.delta)
+            amplitudes.append(x_norm / self.v)
+        return amplitudes, [amplitude**2 for amplitude in amplitudes], [1.0] * len(amplitudes)
 
 
 def run_branch(

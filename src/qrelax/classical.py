@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QrelaxError, UsageError
+from .errors import QrelaxError, UsageError
 from .report import CONVERGED, RunReport
 from .schedules import (
     CLASSICAL,
@@ -23,6 +23,7 @@ from .schedules import (
     QUANTUM,
     RelaxationSchedule,
     SelectionStrategy,
+    check_domain,
     index_block,
     relaxation_block,
     rule_horizon,
@@ -55,8 +56,7 @@ def kaczmarz_step(it: RowIterate, system: LinearSystem, t: int, lam: float) -> R
     x <- x + lam * (b_t - a_t.x) * a_t, valid because ||a_t|| = 1.
     """
     require_normalization(system, ROWS_NORMALIZED, "kaczmarz_step")
-    if not 0.0 <= lam <= 2.0:
-        raise DomainError(lam, CLASSICAL, it.k)
+    check_domain(lam, CLASSICAL, it.k)
     a = system.row(t)
     gap = system.rhs_entry(t) - float(a @ it.x)
     return RowIterate(it.x + lam * gap * a, it.k + 1)
@@ -69,8 +69,7 @@ def column_step(it: ColumnIterate, system: LinearSystem, t: int, omega: float) -
     r <- (I - omega c_t c_t^T) r, which keeps r = b - A x.
     """
     require_normalization(system, COLUMNS_NORMALIZED, "column_step")
-    if not 0.0 <= omega <= 2.0:
-        raise DomainError(omega, CLASSICAL, it.k)
+    check_domain(omega, CLASSICAL, it.k)
     c = system.column(t)
     correlation = float(c @ it.r)
     x = np.array(it.x)
@@ -217,7 +216,8 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     - emit (``_record``): lane by lane in step order, the records go to
       each lane's ``report_type()``. A lane's first converged record,
       first non-finite record, failed tracker step or horizon record
-      ends its chunk there, so at most C - 1 steps are wasted.
+      ends its chunk there, so at most C - 1 steps are wasted; a
+      failing lane emits none, since the run raises.
 
     C is the most steps whose (steps, lanes, n) iterate block fits in
     ``CHUNK_BYTES``, at most ``CHUNK_STEPS`` and at least 1; it grows as
@@ -231,11 +231,10 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     that running the schedules one after another would raise. x* comes
     from ``_solution_of``, so it is solved once per system, not once per
     run. ``track(system, x0)`` builds an optional tracker per lane for a
-    quantum engine. In the emit pass each tracker sees, as in a
-    step-by-step loop, ``observe(x, x_norm)`` for record k, returning
-    its (amplitude, success probability, fidelity), and then, unless
-    the lane stops at record k, ``advance(k, t, value)`` for the step
-    to record k + 1.
+    quantum engine. In the emit pass each tracker takes its lane's chunk,
+    up to the cut, in one ``extend(first, ts, values, xs, x_norms)``: it
+    returns the amplitude, success probability and fidelity columns of
+    those records, or raises the error of the first step it cannot take.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise UsageError(f"tol must be finite and >= 0, got {tol!r}")
@@ -335,7 +334,7 @@ def _step(mode, system, x, residual, ts, values, greedy, depth):
 
 
 def _require_finite(k, x, residual):
-    """Stop a run whose iterate or residual overflowed to inf or nan.
+    """The error of a run whose iterate or residual overflowed, or None.
 
     Called only when a record's norm is not finite; a finite vector with
     entries above about 1e154 also has an infinite norm, so the entries
@@ -343,7 +342,7 @@ def _require_finite(k, x, residual):
     """
     for name, v in (("iterate", x), ("residual", residual)):
         if not np.all(np.isfinite(v)):
-            raise QrelaxError(
+            return QrelaxError(
                 f"{name} became non-finite at step k={k} (overflow); "
                 "lower the relaxation or rescale the system"
             )
@@ -361,13 +360,12 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, hor
     calls: its first record that converged or whose norm is not finite.
     A non-finite norm of finite vectors (entries above about 1e154) is
     emitted and the lane goes on; an overflow fails the lane at that
-    record. A lane with no earlier cut that reaches its horizon record
-    (``horizons[lane]``, the last record of a chunk) is emitted up to it
-    and fails there with the horizon's error. A tracker is advanced and
-    observed record by record up to the cut, as in a step-by-step loop,
-    and a step it fails ends the lane there. Each lane's records then go
-    to its report in one ``extend``. The lanes after a failed lane are
-    not emitted, since they leave with it.
+    record. A lane with no cut that reaches its horizon record
+    (``horizons[lane]``, the last record of a chunk) fails there with
+    the horizon's error. A tracker takes the records up to the cut in
+    one ``extend``, whose error wins over an overflow or a horizon. A
+    failing lane and the lanes after it build no records, since the run
+    raises; any other lane's records go to its report in one ``extend``.
     """
     if x_star is not None:
         np.subtract(chunk[0], x_star, out=chunk[2])
@@ -389,35 +387,26 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, hor
         for j in np.flatnonzero(stops[:, row]).tolist() if stopped[row] else ():
             at = j * width + row
             if not (math.isfinite(x_norm[j]) and math.isfinite(residual_norm[j])):
-                try:
-                    _require_finite(first + j, chunk[0, at], chunk[1, at])
-                except QrelaxError as exc:
-                    cut, failure = j, exc
-                    break
-            if residual_norm[j] <= tol:
+                failure = _require_finite(first + j, chunk[0, at], chunk[1, at])
+            if failure is not None or residual_norm[j] <= tol:
                 cut = j
                 break
-        end = len(ts) if cut is None else cut + (failure is None)
-        if cut is None and first + end - 1 == horizons[lane][0]:
+        if cut is None and first + len(ts) - 1 == horizons[lane][0]:
             failure = horizons[lane][1]
+        end = len(ts) if cut is None else cut + 1
+        chosen, relaxations, x_norm = lane_ts[row][:end], values[row][:end], x_norm[:end]
         observed = ()
         if trackers[lane] is not None:
-            tracker, observed = trackers[lane], []
-            for j in range(len(ts) if cut is None else cut + 1):
-                if lane_ts[row][j] is not None:
-                    try:
-                        tracker.advance(first + j - 1, lane_ts[row][j], values[row][j])
-                    except QrelaxError as exc:
-                        cut, failure, end = j, exc, j
-                        break
-                observed.append(tracker.observe(chunk[0, j * width + row], x_norm[j]))
-            observed = zip(*observed)  # amplitudes, probabilities, fidelities
-        report = reports[lane]
-        if end:
-            columns = (lane_ts[row], values[row], x_norm, residual_norm, error, *observed)
-            report.extend(first, *(column[:end] for column in columns))
+            try:
+                observed = trackers[lane].extend(first, chosen, relaxations, chunk[0, row::width],
+                                                 x_norm)
+            except QrelaxError as exc:
+                failure = exc
         if failure is not None:
             return kept, failure
+        report = reports[lane]
+        report.extend(first, chosen, relaxations, x_norm, residual_norm[:end], error[:end],
+                      *observed)
         if cut is None:
             kept.append(row)
         else:

@@ -469,6 +469,15 @@ class _Tracker:
 
     state: SimState
 
+    def extend(self, first, ts, values, xs, x_norms):
+        """Per record, ``advance`` (unless t is None), then ``observe``."""
+        observed = []
+        for j, t in enumerate(ts):
+            if t is not None:
+                self.advance(first + j - 1, t, values[j])
+            observed.append(self.observe(xs[j], x_norms[j]))
+        return zip(*observed)
+
     def observe(self, x: np.ndarray, x_norm: float):
         amplitude, direction = extract_good_branch(self.state)
         if amplitude == 0.0 or x_norm == 0.0:

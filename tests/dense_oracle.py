@@ -171,7 +171,7 @@ def guard(k: int, direction: str, n: int, mem_limit: int) -> None:
         raise ResourceError(k, required, mem_limit)
 
 
-class _DenseTracker:
+class _DenseTracker(sv._Tracker):
     def observe(self, x, x_norm):
         amplitude, direction = extract_good_branch(self.state, self.system.n)
         if amplitude == 0.0 or x_norm == 0.0:

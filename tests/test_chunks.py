@@ -270,6 +270,30 @@ def test_a_memory_guard_trip_inside_a_chunk(monkeypatch, mode, mem_limit):
     assert text.endswith(f"over the {mem_limit}-byte limit; raise --mem-limit or reduce steps")
 
 
+@pytest.mark.parametrize("mode, mem_limit", [("row", 20_000), ("column", 50_000)])
+def test_a_tracker_is_not_stepped_past_convergence(monkeypatch, mode, mem_limit):
+    # The same system and guard as above: the guard trips on step 4, the
+    # step to record 5, but the run converges at record 4 of the chunk
+    # that holds records 4-6, so that step is never taken.
+    rng = np.random.default_rng(3)
+    raw = random_consistent(rng, 3)[0]
+    system = normalize_rows(raw) if mode == "row" else normalize_columns(raw)
+    run_sim = sv.run_algorithm1 if mode == "row" else sv.run_algorithm2
+    schedule = RelaxationSchedule.constant(0.5, QUANTUM)
+    x0 = np.eye(3)[0]
+    norms = [r.residual_norm for r in run_sim(system, x0, schedule, SelectionStrategy.cyclic(),
+                                              4, tol=0.0)[0].records]
+    assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
+
+    def run():
+        return [run_sim(system, x0, schedule, SelectionStrategy.cyclic(), 12, tol=norms[4],
+                        mem_limit=mem_limit)[0]]
+
+    (status, records, _), = _same_as_one_step_chunks(monkeypatch, run, _cap(3, n=3))
+    assert status == "converged"
+    assert records[-1].k == 4
+
+
 def test_chunked_classical_runs_replay_through_the_step_functions(monkeypatch):
     for mode in ("row", "column"):
         system, x0 = _system(mode)

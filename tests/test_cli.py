@@ -277,13 +277,13 @@ def test_verify_flags_a_broken_branch_tracker(monkeypatch, capsys):
     # tracker that reports a wrong amplitude must fail it.
     from qrelax import branch
 
-    observe = branch._BranchTracker.observe
+    extend = branch._BranchTracker.extend
 
-    def scaled(self, x, x_norm):
-        amplitude, probability, fidelity = observe(self, x, x_norm)
-        return amplitude * (1 + 1e-6), probability, fidelity
+    def scaled(self, *records):
+        amplitudes, probabilities, fidelities = extend(self, *records)
+        return [amplitude * (1 + 1e-6) for amplitude in amplitudes], probabilities, fidelities
 
-    monkeypatch.setattr(branch._BranchTracker, "observe", scaled)
+    monkeypatch.setattr(branch._BranchTracker, "extend", scaled)
     rc = cli.main(["verify", "--trials", "50", "--seed", "3"])
     out = capsys.readouterr().out
     assert rc == cli.EXIT_ERROR
