@@ -43,7 +43,8 @@ class BranchState:
 
     @property
     def success_probability(self) -> float:
-        return self.amplitude**2
+        amplitude = self.amplitude
+        return amplitude * amplitude
 
     @property
     def residual_amplitude(self) -> float:
@@ -95,7 +96,7 @@ class _BranchTracker:
             if t is not None:
                 self.v = next_denominator(self.mode, self.v, self.system, t, self.delta)
             amplitudes.append(x_norm / self.v)
-        return amplitudes, [amplitude**2 for amplitude in amplitudes], [1.0] * len(amplitudes)
+        return amplitudes, [a * a for a in amplitudes], [1.0] * len(amplitudes)
 
 
 def run_branch(

@@ -98,11 +98,40 @@ def _square_system(rows, b, b_line=None) -> LinearSystem:
     return LinearSystem(np.array([values for values, _ in rows]), np.array(b))
 
 
+def _grid(body) -> np.ndarray | None:
+    """The ``(line number, text)`` lines of ``body``, comma-separated reals,
+    as a 2-D array read by numpy's C reader in one call; None where it
+    refuses a token.
+
+    numpy reads each token it accepts to the double ``float()`` reads from
+    the stripped token, but refuses some that ``float()`` reads (``1_0``,
+    non-ASCII digits). So where this gives None or the wrong shape,
+    ``_parse_csv`` walks the tokens with ``_float``, which reads those and
+    names each fault.
+    """
+    if not body:
+        return None
+    lines = [line for _, line in body]
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+
+
 def _parse_csv(text: str) -> LinearSystem:
-    """n rows of n comma-separated reals, then one final row for b."""
+    """n rows of n comma-separated reals, then one final row for b.
+
+    Values are read as Python's ``float()`` reads them; ``#`` comments
+    must be whole lines and blank lines are skipped. The per-token walk runs
+    only when ``_grid`` refuses the text or its grid is not ``(n + 1) x n``.
+    """
+    body = list(_lines(text, "#"))
+    grid = _grid(body)
+    if grid is not None and grid.shape[0] == grid.shape[1] + 1:
+        return LinearSystem(grid[:-1], grid[-1])
     rows = [
         ([_float(tok.strip(), lineno) for tok in line.split(",")], lineno)
-        for lineno, line in _lines(text, "#")
+        for lineno, line in body
     ]
     if len(rows) < 2:
         raise ParseError("need at least one matrix row plus a rhs row")

@@ -133,7 +133,7 @@ def _row_checks() -> list[Check]:
         checks.append(_check("row", "statevector", f"x_norm_{j}", exp[f"x_norm_{j}"], amplitude * state.v))
         checks.append(_check("row", "statevector", f"x_dir_{j}", exp[f"x_dir_{j}"], direction))
     amplitude, _ = statevector.extract_good_branch(state)
-    checks.append(_check("row", "statevector", "success_2", exp["success_2"], amplitude**2))
+    checks.append(_check("row", "statevector", "success_2", exp["success_2"], amplitude * amplitude))
     return checks
 
 

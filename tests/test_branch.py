@@ -142,6 +142,27 @@ def test_success_probability_identity(rng):
             assert 0.0 <= state.success_probability <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("mode", ["row", "column"])
+def test_success_probability_is_the_rounded_square(mode):
+    # The statevector tracker squares as amplitude * amplitude; C pow
+    # (amplitude**2) is an ulp away for about 1 double in 1,200.
+    rng = np.random.default_rng(50)
+    raw, _ = random_consistent(rng, 50, cond=10.0)
+    system = normalize_rows(raw) if mode == "row" else normalize_columns(raw)
+    report = branch.run_branch(
+        system, random_unit(rng, 50), RelaxationSchedule.constant(0.5, QUANTUM),
+        SelectionStrategy.random_uniform(seed=7), 4000, mode=mode, tol=0.0,
+    )
+    assert len(report.records) == 4001
+    for rec in report.records:
+        assert rec.success_probability == rec.amplitude * rec.amplitude, rec.k
+    if mode == "row":
+        state = branch.init_row_branch(random_unit(rng, 50))
+        for t in range(1, 51):
+            state = branch.row_branch_step(state, system, t, 0.5)
+            assert state.success_probability == state.amplitude * state.amplitude
+
+
 def test_v_closed_forms(rng):
     # row: v^2 accumulates the squared rhs entries; column with unit
     # residual: v is exactly k+1

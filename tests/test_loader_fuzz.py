@@ -1,13 +1,18 @@
 """Seeded fuzzing of the loaders: mutated valid inputs either load or fail
-with a QrelaxError, never with a bare Python exception."""
+with a QrelaxError, never with a bare Python exception, and on CSV text
+numpy's reader gives the same outcome as the per-token walk alone."""
 
 import numpy as np
 import pytest
 
+from qrelax import loaders
 from qrelax.errors import QrelaxError
 from qrelax.loaders import load_system
 
 JUNK = ("x", "", "1.5.2", "--", "nan", "inf", "1e", "0x1", "2,", "#")
+# Tokens that float() reads and numpy's reader refuses (so they load through
+# the walk), a padded token both read, and edge values both read.
+ODD = ("1_0", "\u0661", "\u20031\u2003", "1e400", "-0", "5e-324")
 
 
 def _num(v):
@@ -49,7 +54,8 @@ def _mutate(rng, lines):
     elif op == 2:
         tokens = lines[k].replace(",", " , ").split()
         if tokens:
-            tokens[int(rng.integers(len(tokens)))] = JUNK[int(rng.integers(len(JUNK)))]
+            junk = JUNK + ODD
+            tokens[int(rng.integers(len(tokens)))] = junk[int(rng.integers(len(junk)))]
         lines[k] = " ".join(tokens).replace(" , ", ",")
     else:
         text = "\n".join(lines)
@@ -110,3 +116,50 @@ def test_mutated_inputs_fail_only_with_qrelax_errors(tmp_path, seed):
                     f"{fmt} input (seed {seed}, trial {trial}) raised "
                     f"{type(exc).__name__}: {exc}\nmatrix: {matrix_lines!r}\nrhs: {rhs_lines!r}"
                 )
+
+
+def _outcome(tmp_path, lines):
+    """The CSV system's arrays as bytes, or the error's type and message."""
+    try:
+        system = _load(tmp_path, "csv", lines, None)
+    except QrelaxError as exc:
+        return type(exc), str(exc)
+    return system.matrix.shape, system.matrix.tobytes(), system.rhs.tobytes()
+
+
+def _walk_outcome(tmp_path, monkeypatch, lines):
+    """The outcome when numpy's reader is skipped and only the walk runs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(loaders, "_grid", lambda body: None)
+        return _outcome(tmp_path, lines)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numpy_reader_gives_the_walks_outcome(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(9100 + seed)
+    loaded = 0
+    for trial in range(200):
+        for fmt, matrix_lines, _ in _cases(rng):
+            if fmt != "csv":  # only CSV text goes through numpy's reader
+                continue
+            fast = _outcome(tmp_path, matrix_lines)
+            assert fast == _walk_outcome(tmp_path, monkeypatch, matrix_lines), (
+                f"csv input (seed {seed}, trial {trial}): {matrix_lines!r}"
+            )
+            loaded += isinstance(fast[1], bytes)
+    assert loaded >= 10  # the comparison covers loaded arrays, not just errors
+
+
+# Entries the walk refuses that a numpy call with other settings, or a
+# result of another shape, would let through.
+LOOSE = ("0.5,2", "1 # c")
+
+
+@pytest.mark.parametrize("token", ODD + LOOSE)
+def test_odd_tokens_give_the_walks_outcome(tmp_path, monkeypatch, token):
+    """Each odd token as one entry of a CSV grid."""
+    lines = ["1.0,0.5", f"0.25,{token}", "3.0,-1.5"]
+    fast = _outcome(tmp_path, lines)
+    assert fast == _walk_outcome(tmp_path, monkeypatch, lines)
+    # inf is refused by LinearSystem on both paths
+    assert isinstance(fast[1], bytes) == (token in ODD and token != "1e400"), fast

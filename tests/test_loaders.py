@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qrelax import loaders
 from qrelax.errors import DimensionError, ParseError, UsageError
 from qrelax.loaders import load_system
 
@@ -314,3 +315,34 @@ def test_matrix_market_header_only_rhs_names_its_file(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         _load_mm_rhs(tmp_path, "%%MatrixMarket matrix array real general\n")
     assert str(excinfo.value) == f"{rhs}: missing size line"
+
+
+def _refuse(token, line=None, part=""):
+    raise AssertionError(f"the per-token walk read {token!r}")
+
+
+def test_a_clean_csv_loads_without_the_per_token_walk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=(6, 6)), rng.normal(size=6)
+    rows = [",".join(repr(v) for v in row) for row in a.tolist()]
+    csv = tmp_path / "sys.csv"
+    csv.write_text("\n".join(["# header", "", *rows[:3], "  ", "# more", *rows[3:], "",
+                              ",".join(repr(v) for v in b.tolist()), ""]))
+    monkeypatch.setattr(loaders, "_float", _refuse)
+    system = load_system(str(csv), "csv")
+    assert system.matrix.tobytes() == a.tobytes()
+    assert system.rhs.tobytes() == b.tobytes()
+
+
+def test_a_token_numpy_refuses_loads_through_the_walk(tmp_path, monkeypatch):
+    plain, underscored = tmp_path / "plain.csv", tmp_path / "underscored.csv"
+    plain.write_text("1000,0.5\n0.25,2\n3,-1.5\n")
+    underscored.write_text("1_000,0.5\n0.25,2\n3,-1.5\n")
+    expected = load_system(str(plain), "csv")
+    walked = []
+    real_float = loaders._float
+    monkeypatch.setattr(loaders, "_float", lambda *args: walked.append(args) or real_float(*args))
+    system = load_system(str(underscored), "csv")
+    assert walked
+    assert system.matrix.tobytes() == expected.matrix.tobytes()
+    assert system.rhs.tobytes() == expected.rhs.tobytes()
