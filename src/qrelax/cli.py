@@ -387,7 +387,8 @@ def cmd_sweep(config: RunConfig, grid: list[float], stdout=None) -> int:
     Sim lanes run one at a time: the memory guard bounds one set of
     registers, not one per lane. Either way the error raised is that of
     the first failing lane in grid order, a value outside the domain
-    included.
+    included. A row's label is its value in %g form, or its repr where
+    %g would round it, so no two distinct values share a label.
     """
     stdout = stdout or sys.stdout
     system, x0, base, strategy = _prepare(config)
@@ -414,8 +415,9 @@ def cmd_sweep(config: RunConfig, grid: list[float], stdout=None) -> int:
     lines = ["relaxation,status,steps,final_residual,final_success_probability"]
     for value, report in zip(grid, reports):
         probability = report.final.success_probability
+        label = f"{value:g}" if float(f"{value:g}") == value else repr(value)
         lines.append(
-            f"{value:g},{report.status},{report.steps_taken},{report.final.residual_norm:.12e},"
+            f"{label},{report.status},{report.steps_taken},{report.final.residual_norm:.12e},"
             + ("" if probability is None else f"{probability:.12e}")
         )
     if config.out:

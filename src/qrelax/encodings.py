@@ -3,7 +3,9 @@
 All matrices here are real orthogonal. The 4n-by-4n operators are laid
 out as a 4x4 grid of n-by-n blocks whose grid index corresponds to the
 two-qubit ancilla basis in the fixed order |00>, |01>, |10>, |11>; the
-simulators rely on that mapping when they reshape the statevector.
+simulators rely on that mapping when they reshape the statevector. One
+reflection grid builds all three of them: the row and column-residual
+operators directly, the column-update operator with its slots reordered.
 Relaxation parameters are restricted to [0, 1] because the coupling
 entry sqrt(2*p*(1-p)) must stay real.
 """
@@ -23,7 +25,6 @@ from .system import UNIT_TOL, LinearSystem
 LABEL_ROW_U = "row-U"
 LABEL_COLUMN_U = "column-residual-U"
 LABEL_W = "W"
-LABEL_W_CORE = "w"
 LABEL_GIVENS = "givens"
 LABEL_ROW_PREP = "row-prep-V"
 LABEL_COLUMN_PREP = "column-prep-S"
@@ -105,7 +106,8 @@ def next_denominator(
 
 
 def _reflection_grid(p: np.ndarray, value: float) -> np.ndarray:
-    """Shared 4x4 grid for the row and column-residual operators.
+    """The 4x4 grid of all three 4n-by-4n operators, the column-update
+    one with its slots reordered.
 
     P is the rank-one projector onto the working vector. On its range the
     operator is the symmetric orthogonal 3x3 core (plus an identity
@@ -149,27 +151,18 @@ def column_residual_unitary(c, omega: float) -> BlockUnitary:
     )
 
 
-def column_update_core(t: int, omega: float, n: int) -> BlockUnitary:
-    """The 3n-by-3n symmetric involution routing omega*<t|.|t> amplitude
-    between the last-three ancilla blocks (P = e_t e_t^T)."""
+def column_update_unitary(t: int, omega: float, n: int) -> BlockUnitary:
+    """Symmetric involution routing omega*<t|.|t> amplitude between the
+    last three ancilla blocks (P = e_t e_t^T): the reflection grid's slots
+    in the order (3, 0, 2, 1), so the identity slot acts on |00> and the
+    core follows with its slots 1 and 2 swapped."""
     omega = check_domain(omega, QUANTUM)
     if not 1 <= t <= n:
         raise UsageError(f"index t={t} outside 1..{n}")
     p = np.zeros((n, n))
     p[t - 1, t - 1] = 1.0
-    # The 3x3 core of the reflection grid with its slots 1 and 2 swapped.
-    slots = np.r_[0:n, 2 * n:3 * n, n:2 * n]
-    return BlockUnitary(_reflection_grid(p, omega)[np.ix_(slots, slots)], n, (3, 3), LABEL_W_CORE)
-
-
-def column_update_unitary(t: int, omega: float, n: int) -> BlockUnitary:
-    """block-diag(I_n, core): identity on the |00> branch, the routing
-    core on the remaining three ancilla blocks."""
-    core = column_update_core(t, omega, n).matrix
-    full = np.zeros((4 * n, 4 * n))
-    full[:n, :n] = np.eye(n)
-    full[n:, n:] = core
-    return BlockUnitary(full, n, (4, 4), LABEL_W)
+    slots = np.r_[3 * n:4 * n, 0:n, 2 * n:3 * n, n:2 * n]
+    return BlockUnitary(_reflection_grid(p, omega)[np.ix_(slots, slots)], n, (4, 4), LABEL_W)
 
 
 @dataclass(frozen=True)

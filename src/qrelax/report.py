@@ -3,26 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import count
 
 from .errors import UsageError
 
 CONVERGED = "converged"
 MAX_STEPS = "max-steps"
-
-# Stable key order for line-delimited output.
-RECORD_FIELDS = (
-    "k",
-    "t",
-    "relaxation",
-    "x_norm",
-    "residual_norm",
-    "error_norm",
-    "amplitude",
-    "success_probability",
-    "fidelity",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,6 +35,10 @@ class StepRecord:
         return {name: getattr(self, name) for name in RECORD_FIELDS}
 
 
+# The jsonl key order is StepRecord's field order.
+RECORD_FIELDS = tuple(f.name for f in fields(StepRecord))
+
+
 @dataclass
 class RunReport:
     """Append-only record stream plus terminal status.
@@ -59,14 +50,6 @@ class RunReport:
     records: list[StepRecord] = field(default_factory=list)
     status: str = MAX_STEPS
     final_x: object = None  # np.ndarray | None
-
-    def append(self, record: StepRecord) -> None:
-        if record.k != len(self.records):
-            raise UsageError(
-                f"records must be appended in step order; got k={record.k}, "
-                f"expected {len(self.records)}"
-            )
-        self.records.append(record)
 
     def extend(self, first: int, *columns) -> None:
         """Append records first, first + 1, ..., one per entry of the

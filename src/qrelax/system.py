@@ -97,47 +97,39 @@ class LinearSystem:
         return np.array(x, dtype=float)
 
 
-def normalize_rows(system: LinearSystem) -> LinearSystem:
-    """Scale every row and its rhs entry by the row norm.
-
-    Rows already within ``UNIT_TOL`` of unit norm are left bit-identical.
-    The solution set is preserved exactly. Raises ``DegenerateRowError``
-    for a zero row.
-    """
-    if system.normalization not in (RAW, ROWS_NORMALIZED):
+def _normalize(system: LinearSystem, kind: str, axis: int, error) -> LinearSystem:
+    """Divide every row (axis 1), with its rhs entry, or every column
+    (axis 0) by its norm. Norms within ``UNIT_TOL`` of 1 count as 1.0, so
+    those stay bit-identical; the first zero one raises ``error``."""
+    what = "row" if axis == 1 else "column"
+    if system.normalization not in (RAW, kind):
         raise UsageError(
-            f"cannot row-normalize a {system.normalization} system; start from raw"
+            f"cannot {what}-normalize a {system.normalization} system; start from raw"
         )
     a = np.array(system.matrix)
     b = np.array(system.rhs)
-    norms = np.linalg.norm(a, axis=1)
+    norms = np.linalg.norm(a, axis=axis)
     for i, h in enumerate(norms):
         if h == 0.0:
-            raise DegenerateRowError(i + 1)
+            raise error(i + 1)
     scale = np.where(np.abs(norms - 1.0) <= UNIT_TOL, 1.0, norms)
-    a /= scale[:, None]
-    b /= scale
-    return LinearSystem(a, b, ROWS_NORMALIZED, scale)
+    a /= np.expand_dims(scale, axis)
+    if axis == 1:
+        b /= scale
+    return LinearSystem(a, b, kind, scale)
+
+
+def normalize_rows(system: LinearSystem) -> LinearSystem:
+    """Scale every row and its rhs entry by the row norm, which keeps the
+    solution set exactly; a zero row raises ``DegenerateRowError``."""
+    return _normalize(system, ROWS_NORMALIZED, 1, DegenerateRowError)
 
 
 def normalize_columns(system: LinearSystem) -> LinearSystem:
-    """Scale every column by its norm; the rhs is untouched.
-
-    The recorded scale maps a normalized-system solution back to the
-    original via ``x_original[t] = x_normalized[t] / scale[t]``.
-    """
-    if system.normalization not in (RAW, COLUMNS_NORMALIZED):
-        raise UsageError(
-            f"cannot column-normalize a {system.normalization} system; start from raw"
-        )
-    a = np.array(system.matrix)
-    norms = np.linalg.norm(a, axis=0)
-    for j, h in enumerate(norms):
-        if h == 0.0:
-            raise DegenerateColumnError(j + 1)
-    scale = np.where(np.abs(norms - 1.0) <= UNIT_TOL, 1.0, norms)
-    a /= scale[None, :]
-    return LinearSystem(a, np.array(system.rhs), COLUMNS_NORMALIZED, scale)
+    """Scale every column by its norm; the rhs is untouched. The recorded
+    scale maps a normalized-system solution back to the original via
+    ``x_original[t] = x_normalized[t] / scale[t]``."""
+    return _normalize(system, COLUMNS_NORMALIZED, 0, DegenerateColumnError)
 
 
 def require_normalization(system: LinearSystem, kind: str, who: str) -> None:

@@ -342,6 +342,21 @@ def test_sweep_emits_csv_rows(tmp_path, capsys):
         assert ln.split(",")[1] in ("converged", "max-steps")
 
 
+def test_sweep_labels_keep_distinct_values_apart(capsys):
+    # %g keeps six significant digits: 0.1234561 and 0.1234562 would both
+    # print as 0.123456, and 1.0000001 as 1
+    grid = [0.1234561, 0.1234562, 1.0000001, 0.5, 1.0]
+    rc = cli.main([
+        "sweep", "--system", ROW_INLINE, "--format", "inline",
+        "--mode", "classical-row", "--x0", "1,0", "--steps", "5",
+        "--grid", ",".join(map(repr, grid)),
+    ])
+    assert rc == cli.EXIT_OK
+    labels = [ln.split(",")[0] for ln in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert labels == ["0.1234561", "0.1234562", "1.0000001", "0.5", "1"]
+    assert [float(label) for label in labels] == grid
+
+
 def test_sweep_single_point_matches_solve(tmp_path, capsys):
     rc = cli.main([
         "sweep", "--system", ROW_INLINE, "--format", "inline",

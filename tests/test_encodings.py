@@ -94,23 +94,46 @@ def test_column_residual_unitary_matches_row_construction(rng):
     assert report.max_orthogonality_deviation <= 1e-12
 
 
-def test_column_update_core_full_relaxation_grid():
+def test_column_update_unitary_full_relaxation_grid():
+    # blocks (2..4, 2..4): the routing core on the last three ancilla blocks
     n, t = 3, 2
-    core = enc.column_update_core(t, 1.0, n)
+    core = enc.column_update_unitary(t, 1.0, n).matrix[n:, n:]
     p = np.zeros((n, n))
     p[t - 1, t - 1] = 1.0
     eye = np.eye(n)
     zero = np.zeros((n, n))
     expected = np.block([[eye - p, p, zero], [p, eye - p, zero], [zero, zero, 2 * p - eye]])
-    assert_allclose(core.matrix, expected, atol=1e-15)
+    assert_allclose(core, expected, atol=1e-15)
 
 
-def test_column_update_core_half_relaxation_blocks():
-    core = enc.column_update_core(1, 0.5, 2)
-    assert_allclose(core.block(1, 2), np.diag([0.5, 0.0]))
-    assert_allclose(core.block(1, 3), math.sqrt(0.5) * np.diag([1.0, 0.0]))
-    assert_allclose(core.matrix, core.matrix.T)
-    assert_allclose(core.matrix @ core.matrix, np.eye(6), atol=1e-12)
+def test_column_update_unitary_half_relaxation_blocks():
+    built = enc.column_update_unitary(1, 0.5, 2)
+    core = built.matrix[2:, 2:]
+    assert_allclose(built.block(2, 3), np.diag([0.5, 0.0]))
+    assert_allclose(built.block(2, 4), math.sqrt(0.5) * np.diag([1.0, 0.0]))
+    assert_allclose(core, core.T)
+    assert_allclose(core @ core, np.eye(6), atol=1e-12)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5, 1.0, "uniform"])
+def test_column_update_unitary_matches_block_literal(rng, omega):
+    # the identity slot, then the reflection-grid core with slots 1 and 2 swapped
+    for n in range(1, 6):
+        for t in range(1, n + 1):
+            w = float(rng.uniform(0, 1)) if omega == "uniform" else omega
+            c = math.sqrt(2.0 * w * (1.0 - w))
+            p = np.zeros((n, n))
+            p[t - 1, t - 1] = 1.0
+            eye, zero = np.eye(n), np.zeros((n, n))
+            expected = np.block([
+                [eye, zero, zero, zero],
+                [zero, eye - w * p, w * p, c * p],
+                [zero, w * p, eye - w * p, -c * p],
+                [zero, c * p, -c * p, 2.0 * w * p - eye],
+            ])
+            built = enc.column_update_unitary(t, w, n)
+            assert (built.grid, built.block_size, built.label) == ((4, 4), n, enc.LABEL_W)
+            assert np.array_equal(built.matrix, expected)
 
 
 def test_column_update_unitary_block_structure():
@@ -216,7 +239,6 @@ def test_symmetric_involution_property(rng):
         for built in (
             enc.row_unitary(vec, value),
             enc.column_residual_unitary(vec, value),
-            enc.column_update_core(t, value, n),
             enc.column_update_unitary(t, value, n),
         ):
             report = enc.verify_unitary(built, tol=1e-12)

@@ -15,19 +15,21 @@ def make_record(k, **overrides):
 
 def test_records_append_in_step_order():
     report = RunReport()
-    report.append(make_record(0))
-    report.append(make_record(1, t=2, relaxation=0.5))
+    report.extend(0, [None], [None], [1.0], [0.5])
+    report.extend(1, [2], [0.5], [1.0], [0.5])
+    assert report.records == [make_record(0), make_record(1, t=2, relaxation=0.5)]
     assert report.steps_taken == 1
     assert report.final.t == 2
 
 
 def test_out_of_order_append_rejected():
     report = RunReport()
-    report.append(make_record(0))
+    report.extend(0, [None], [None], [1.0], [0.5])
     with pytest.raises(UsageError):
-        report.append(make_record(2))
+        report.extend(2, [1], [1.0], [1.0], [0.5])
     with pytest.raises(UsageError):
-        report.append(make_record(0))
+        report.extend(0, [None], [None], [1.0], [0.5])
+    assert report.records == [make_record(0)]
 
 
 def test_empty_report_has_no_final():
@@ -40,14 +42,27 @@ def test_record_dict_key_order_is_stable():
     assert tuple(record.to_dict().keys()) == RECORD_FIELDS
 
 
+def test_jsonl_key_order_is_pinned():
+    # RECORD_FIELDS is derived from StepRecord, so a reordered or renamed
+    # field would change the public jsonl schema; this literal catches it.
+    keys = (
+        "k", "t", "relaxation", "x_norm", "residual_norm",
+        "error_norm", "amplitude", "success_probability", "fidelity",
+    )
+    assert RECORD_FIELDS == keys
+    report = RunReport()
+    report.extend(0, [None], [None], [1.0], [0.5])
+    assert tuple(json.loads(next(report.json_lines()))) == keys
+
+
 def test_json_lines_round_trip():
     report = RunReport()
-    report.append(make_record(0))
-    report.append(make_record(1, t=1, relaxation=1.0, error_norm=0.1))
+    report.extend(0, [None, 1], [None, 1.0], [1.0, 1.0], [0.5, 0.5], [None, 0.1])
     lines = list(report.json_lines())
     assert len(lines) == 2
     parsed = json.loads(lines[1])
     assert parsed["k"] == 1 and parsed["error_norm"] == 0.1
+    assert [json.loads(line) for line in lines] == [record.to_dict() for record in report.records]
 
 
 def test_step_record_is_frozen_and_compact():

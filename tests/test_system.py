@@ -8,6 +8,7 @@ from qrelax.system import (
     COLUMNS_NORMALIZED,
     RAW,
     ROWS_NORMALIZED,
+    UNIT_TOL,
     LinearSystem,
     normalize_columns,
     normalize_rows,
@@ -100,6 +101,34 @@ def test_cross_normalization_is_rejected(row_case, column_case):
         normalize_columns(row_case[0])
     with pytest.raises(UsageError):
         normalize_rows(column_case[0])
+
+
+@pytest.mark.parametrize("axis", ["rows", "columns"])
+def test_normalizer_rules_on_both_axes(axis):
+    rows = axis == "rows"
+    normalize = normalize_rows if rows else normalize_columns
+    other = normalize_columns if rows else normalize_rows
+    error, what = (DegenerateRowError, "row") if rows else (DegenerateColumnError, "column")
+    # the first zero row (column) is named when rows (columns) 2 and 3 are zero
+    a = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(error) as excinfo:
+        normalize(LinearSystem(a if rows else a.T, np.ones(3)))
+    assert getattr(excinfo.value, what) == 2
+    assert str(excinfo.value) == f"{what} 2 has zero norm and cannot be normalized"
+    # 1: norm 1 + UNIT_TOL / 2 keeps its bits; 2: norm 1 + 2 UNIT_TOL is rescaled
+    a = np.array([[0.6, 0.8], [0.6, 0.8]]) * np.array([[1.0 + UNIT_TOL / 2], [1.0 + 2 * UNIT_TOL]])
+    raw = LinearSystem(a if rows else a.T, np.array([0.3, 0.7]))
+    normed = normalize(raw)
+    kept = normed.matrix[0] if rows else normed.matrix[:, 0]
+    assert kept.tobytes() == a[0].tobytes()
+    assert normed.scale[0] == 1.0 and normed.scale[1] != 1.0
+    assert normed.rhs[0] == raw.rhs[0]
+    assert normed.rhs[1] == (raw.rhs[1] / normed.scale[1] if rows else raw.rhs[1])
+    # the wrong-kind texts
+    with pytest.raises(UsageError) as excinfo:
+        normalize(other(raw))
+    kind = COLUMNS_NORMALIZED if rows else ROWS_NORMALIZED
+    assert str(excinfo.value) == f"cannot {what}-normalize a {kind} system; start from raw"
 
 
 def test_row_normalization_preserves_solution_set(rng):
