@@ -112,6 +112,22 @@ def _solution_of(system: LinearSystem):
     return cache["_x_star"]
 
 
+def gram_matrix(system: LinearSystem) -> np.ndarray:
+    """The Gram matrix A^T A of the columns: entry (i, j) is c_i . c_j."""
+    return system.matrix.T @ system.matrix
+
+
+def _gram_of(system: LinearSystem):
+    """``gram_matrix(system)``, built once per system and kept on it,
+    read-only, as ``_solution_of`` keeps x*."""
+    cache = system.__dict__
+    if "_gram" not in cache:
+        gram = gram_matrix(system)
+        gram.setflags(write=False)
+        cache["_gram"] = gram
+    return cache["_gram"]
+
+
 def run_classical(
     system: LinearSystem,
     x0: np.ndarray,
@@ -186,6 +202,71 @@ class _Lookahead:
         return self.ts[k - self.first:k - self.first + steps]
 
 
+# The u of _Correlations' error bounds: machine epsilon, twice the unit
+# roundoff, so they also cover the screen's own rounding and columns
+# normalized only to within UNIT_TOL of 1.
+_EPS = float(np.finfo(float).eps)
+
+
+class _Correlations:
+    """Greedy column selection from a carried z = A^T r per block row.
+
+    A column step moves r by -update * c_t, so A^T r moves by
+    -update * G[t - 1] with G = A^T A (``_gram_of``): O(n) a step where
+    the gemv ``_products(matrix.T, r)`` is O(n^2). A row's E bounds
+    |z - A^T r| entrywise. The gemv itself is within gamma * ||r|| of
+    A^T r in any summation order (columns of unit norm, gamma =
+    n u / (1 - n u)), so when the largest |z| beats the runner-up by more
+    than 2 (E + gamma ||r||), the gemv's argmax is the same unique index.
+    Every other step, ties and non-finite entries included, takes the
+    gemv and ``select_index`` on it, and restarts z from that gemv with
+    E = gamma ||r||. Each index is thus the one the gemv would pick.
+
+    ``carry`` grows E by twice the step's rounding bound: gamma |update|
+    for the rounding of G, plus u (4 |update| + max |z| + ||r||) for the
+    two vector updates, with max |z| and ||r|| taken at the step's start
+    (the 4 |update| also covers their growth within the step).
+    """
+
+    def __init__(self, system, strategy, lanes):
+        n = system.n
+        self.system, self.strategy, self.gram = system, strategy, _gram_of(system)
+        self.gamma = n * _EPS / (1 - n * _EPS)
+        self.z, self.drift = np.zeros((lanes, n)), np.full(lanes, math.inf)
+        self.top = self.norms = None
+
+    def keep(self, rows):
+        self.z, self.drift = self.z[rows], self.drift[rows]
+
+    def __call__(self, k, residual):
+        """The index of step k + 1 for each block row, from its residual."""
+        z, rows = self.z, np.arange(len(self.z))
+        magnitude = np.abs(z)
+        best = np.argmax(magnitude, axis=1)
+        top = magnitude[rows, best]
+        magnitude[rows, best] = -1.0
+        self.norms = np.sqrt(_dots(residual, residual))
+        gemv_error = self.gamma * self.norms
+        sure = (top - magnitude.max(axis=1) > 2 * (self.drift + gemv_error)) & (top < math.inf)
+        ts = (best + 1).tolist()
+        if not sure.all():
+            stale = np.flatnonzero(~sure)
+            context = _products(self.system.matrix.T, residual[stale])
+            z[stale], self.drift[stale] = context, gemv_error[stale]
+            top[stale] = np.abs(context).max(axis=1)
+            for row, c in zip(stale.tolist(), context):
+                ts[row] = select_index(self.strategy, k, self.system.n, c)
+        self.top = top
+        return ts
+
+    def carry(self, row, t, update):
+        """Block row ``row`` stepped ``update`` along column t."""
+        self.z[row] -= update * self.gram[t - 1]
+        size = abs(update)
+        growth = self.gamma * size + _EPS * (4 * size + self.top[row] + self.norms[row])
+        self.drift[row] += 2 * growth
+
+
 # _require_finite reports overflow; numpy's warnings would only precede it.
 @np.errstate(over="ignore", invalid="ignore")
 def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
@@ -204,9 +285,11 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
 
     - plan: the index t and each lane's relaxation for up to C steps,
       slices of ``relaxation_block`` and of the ``_Lookahead``. Greedy
-      selection reads the residual (A^T r in column mode) of every step,
-      so its chunks are one step long. No chunk steps past the nearest
-      horizon of a live lane.
+      selection reads the residual of every step, so its chunks are one
+      step long. In column mode it reads A^T r, carried per lane in O(n)
+      a step through the Gram matrix (``_Correlations``), with the exact
+      gemv only where the carried vector cannot certify its argmax. No
+      chunk steps past the nearest horizon of a live lane.
     - step (``_step``): only the iterates (and, in column mode, the
       carried residuals) move, into a chunk that stacks the (lanes, n)
       blocks of every step.
@@ -256,7 +339,9 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     x_star = _solution_of(system)
     greedy = strategy.variant == GREEDY_RESIDUAL
     lookahead = None if greedy else _Lookahead(strategy, system.n)
-    matrix = system.matrix
+    correlations = None
+    if greedy and mode == COLUMN:
+        correlations = _Correlations(system, strategy, len(schedules))
 
     reports = [report_type() for _ in schedules]
     error = None
@@ -277,18 +362,21 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
         x, residual = chunk[0, last], chunk[1, last]
         if len(kept) < len(lanes):
             lanes, x, residual = [lanes[row] for row in kept], x[kept], residual[kept]
+            if correlations is not None:
+                correlations.keep(kept)
         if k == max_steps or not lanes:
             break
 
-        if greedy:
-            context = residual if mode == ROW else _products(matrix.T, residual)
-            ts = [[select_index(strategy, k, system.n, c) for c in context]]
+        if correlations is not None:
+            ts = [correlations(k, residual)]
+        elif greedy:
+            ts = [[select_index(strategy, k, system.n, r) for r in residual]]
         else:
             horizon = min(horizons[lane][0] for lane in lanes)
             steps = min(max(1, CHUNK_BYTES // x.nbytes), CHUNK_STEPS, max_steps - k, horizon - k)
             ts = [[t] * len(lanes) for t in lookahead(k, steps)]
         values = [relaxation_block(schedules[lane], k, len(ts)) for lane in lanes]
-        chunk = _step(mode, system, x, residual, ts, values, greedy, len(chunk))
+        chunk = _step(mode, system, x, residual, ts, values, greedy, len(chunk), correlations)
         first = k + 1
 
     if error is not None:
@@ -298,10 +386,11 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     return reports, trackers
 
 
-def _step(mode, system, x, residual, ts, values, greedy, depth):
+def _step(mode, system, x, residual, ts, values, greedy, depth, correlations):
     """The (lanes, n) block stepped through the plan: a (depth, steps *
     lanes, n) chunk whose first two layers hold the iterates and the
-    residuals after each step, one block after another."""
+    residuals after each step, one block after another. A column step
+    also moves ``correlations``, unless None, by its update."""
     matrix, rhs = system.matrix, system.rhs
     width = len(x)
     chunk = np.empty((depth, len(ts) * width, x.shape[1]))
@@ -330,6 +419,8 @@ def _step(mode, system, x, residual, ts, values, greedy, depth):
             update = values[row][j] * float(column @ residual[row])
             x[row, t - 1] += update
             residual[row] -= update * column
+            if correlations is not None:
+                correlations.carry(row, t, update)
     return chunk
 
 

@@ -122,10 +122,14 @@ def select_index(strategy: SelectionStrategy, k: int, n: int, residual=None) -> 
     """Working index for step k; cyclic wraps as ((k) mod n) + 1.
 
     ``residual`` is the context vector for the greedy rule: the per-row
-    residual in row mode, the per-column correlations in column mode.
-    Random selection is a pure function of (seed, k), so runs replay
-    identically: ``np.random.default_rng((seed, k)).integers(1, n + 1)``,
-    drawn by ``random_indices``. Only the greedy rule reads ``residual``;
+    residual in row mode, the per-column correlations A^T r in column
+    mode; the first of tied largest entries wins. Column-mode runs call
+    it only on steps where their carried A^T r cannot prove its argmax
+    (``classical._Correlations``), so their picks are the ones made on
+    the exact product every step. Random selection is a pure function
+    of (seed, k), so runs replay identically:
+    ``np.random.default_rng((seed, k)).integers(1, n + 1)``, drawn by
+    ``random_indices``. Only the greedy rule reads ``residual``;
     the others ignore it, and run loops pass None for them.
     """
     if k < 0:

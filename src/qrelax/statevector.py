@@ -203,7 +203,7 @@ def _apply_routed(route: _Route, blocks: np.ndarray, matrix: np.ndarray) -> np.n
     """Apply a grid operator: gather by group, one matmul, keep the routed rows."""
     n = blocks.shape[1]
     out = _gather(route, n, blocks).reshape(route.rows, -1) @ matrix.T
-    return out.reshape(-1, n)[route.keep]
+    return np.take(out.reshape(-1, n), route.keep, axis=0)
 
 
 def assert_normalized(state: SimState, tol: float = NORM_TOL) -> SimState:
@@ -419,7 +419,7 @@ def _column_iteration(x_state, r_state, system, t, omega, delta, mem_limit):
     psi = (psi.reshape(x_route.rows, -1) @ update.T).reshape(x_route.rows, 2, 2, n)
     psi = rotation @ psi
     v_next = next_denominator(classical.COLUMN, x_state.v, system, t, delta)
-    x_next = SimState(x_route.keys, psi.reshape(-1, n)[x_route.keep],
+    x_next = SimState(x_route.keys, np.take(psi.reshape(-1, n), x_route.keep, axis=0),
                       RegisterLayout(m + 2, n), k + 1, v_next)
     del psi  # the grid goes before the residual register's buffers exist
     r_vec = _apply_routed(r_route, r_state.vec, contraction)

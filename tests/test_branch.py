@@ -187,6 +187,36 @@ def test_v_closed_forms(rng):
         assert col.v == k + 2  # exact float arithmetic on small integers
 
 
+@pytest.mark.parametrize("engine", ["branch", "sim"])
+@pytest.mark.parametrize("mode", ["row", "column"])
+def test_recorded_denominators_follow_their_closed_forms(rng, engine, mode):
+    # The cost of post-selection grows with v = x_norm / amplitude: row
+    # v_k^2 = 1 + sum_{j<k} b_{t_j}^2, column v_k = 1 + k / delta, where
+    # delta = 1 / ||r_0|| here (the residual is not of unit norm).
+    n = 4
+    system = random_consistent(rng, n)[0]
+    system = normalize_rows(system) if mode == "row" else normalize_columns(system)
+    x0 = random_unit(rng, n)
+    schedule = RelaxationSchedule.constant(0.5, QUANTUM)
+    strategy = SelectionStrategy.random_uniform(int(rng.integers(1000)))
+    if engine == "branch":
+        report = branch.run_branch(system, x0, schedule, strategy, 60, mode, tol=0.0)
+    else:
+        run = sv.run_algorithm1 if mode == "row" else sv.run_algorithm2
+        report = run(system, x0, schedule, strategy, 6, tol=0.0)[0]
+    delta = 1.0 / float(np.linalg.norm(system.residual(x0)))
+    assert delta != 1.0
+    total = 1.0
+    for rec in report.records:
+        v = rec.x_norm / rec.amplitude
+        if mode == "row":
+            total += 0.0 if rec.t is None else system.rhs_entry(rec.t) ** 2
+            assert v**2 == pytest.approx(total, rel=1e-12, abs=0)
+        else:
+            assert v == pytest.approx(1.0 + rec.k / delta, rel=1e-12, abs=0)
+    assert report.steps_taken == (60 if engine == "branch" else 6)
+
+
 def test_branch_trajectory_equals_oracle(rng):
     for _ in range(20):
         n = int(rng.integers(2, 6))
