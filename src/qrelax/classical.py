@@ -112,20 +112,20 @@ def _solution_of(system: LinearSystem):
     return cache["_x_star"]
 
 
-def gram_matrix(system: LinearSystem) -> np.ndarray:
-    """The Gram matrix A^T A of the columns: entry (i, j) is c_i . c_j."""
-    return system.matrix.T @ system.matrix
+def _gram_row(system: LinearSystem, t: int) -> np.ndarray:
+    """Row t of the Gram matrix A^T A: entry j is c_t . c_j."""
+    return system.matrix.T @ system.matrix[:, t - 1]
 
 
-def _gram_of(system: LinearSystem):
-    """``gram_matrix(system)``, built once per system and kept on it,
-    read-only, as ``_solution_of`` keeps x*."""
-    cache = system.__dict__
-    if "_gram" not in cache:
-        gram = gram_matrix(system)
-        gram.setflags(write=False)
-        cache["_gram"] = gram
-    return cache["_gram"]
+def _gram_rows(system: LinearSystem) -> dict:
+    """The Gram rows greedy column runs have stepped along, by t.
+
+    Each is built by ``_gram_row`` the first time a run steps along c_t
+    and kept on the system, read-only, as ``_solution_of`` keeps x*, so
+    a run takes at most one gemv per column it picks and later runs on
+    the system take none for it.
+    """
+    return system.__dict__.setdefault("_gram_rows", {})
 
 
 def run_classical(
@@ -206,21 +206,27 @@ class _Lookahead:
 # roundoff, so they also cover the screen's own rounding and columns
 # normalized only to within UNIT_TOL of 1.
 _EPS = float(np.finfo(float).eps)
+# Below this ||r|| the products of the gemv and of the carry may be
+# subnormal, with absolute errors the relative bounds do not hold. At or
+# above it, the 2^-1075 an underflowing product can lose is under 2^-570
+# of the bounds, whose factor-2 margins absorb it.
+_TINY = 2.0 ** -450
 
 
 class _Correlations:
     """Greedy column selection from a carried z = A^T r per block row.
 
     A column step moves r by -update * c_t, so A^T r moves by
-    -update * G[t - 1] with G = A^T A (``_gram_of``): O(n) a step where
-    the gemv ``_products(matrix.T, r)`` is O(n^2). A row's E bounds
-    |z - A^T r| entrywise. The gemv itself is within gamma * ||r|| of
-    A^T r in any summation order (columns of unit norm, gamma =
-    n u / (1 - n u)), so when the largest |z| beats the runner-up by more
-    than 2 (E + gamma ||r||), the gemv's argmax is the same unique index.
-    Every other step, ties and non-finite entries included, takes the
-    gemv and ``select_index`` on it, and restarts z from that gemv with
-    E = gamma ||r||. Each index is thus the one the gemv would pick.
+    -update * G[t - 1] with G = A^T A, whose rows ``_gram_rows`` keeps:
+    O(n) a step where the gemv ``_products(matrix.T, r)`` is O(n^2). A
+    row's E bounds |z - A^T r| entrywise. The gemv itself is within
+    gamma * ||r|| of A^T r in any summation order (columns of unit norm,
+    gamma = n u / (1 - n u)), so when the largest |z| beats the runner-up
+    by more than 2 (E + gamma ||r||), the gemv's argmax is the same
+    unique index. Every other step, ties, non-finite entries and
+    ||r|| < ``_TINY`` included, takes the gemv and ``select_index`` on
+    it, and restarts z from that gemv with E = gamma ||r|| (infinite
+    below ``_TINY``). Each index is thus the one the gemv would pick.
 
     ``carry`` grows E by twice the step's rounding bound: gamma |update|
     for the rounding of G, plus u (4 |update| + max |z| + ||r||) for the
@@ -230,7 +236,7 @@ class _Correlations:
 
     def __init__(self, system, strategy, lanes):
         n = system.n
-        self.system, self.strategy, self.gram = system, strategy, _gram_of(system)
+        self.system, self.strategy, self.rows = system, strategy, _gram_rows(system)
         self.gamma = n * _EPS / (1 - n * _EPS)
         self.z, self.drift = np.zeros((lanes, n)), np.full(lanes, math.inf)
         self.top = self.norms = None
@@ -246,7 +252,7 @@ class _Correlations:
         top = magnitude[rows, best]
         magnitude[rows, best] = -1.0
         self.norms = np.sqrt(_dots(residual, residual))
-        gemv_error = self.gamma * self.norms
+        gemv_error = np.where(self.norms >= _TINY, self.gamma * self.norms, math.inf)
         sure = (top - magnitude.max(axis=1) > 2 * (self.drift + gemv_error)) & (top < math.inf)
         ts = (best + 1).tolist()
         if not sure.all():
@@ -261,7 +267,11 @@ class _Correlations:
 
     def carry(self, row, t, update):
         """Block row ``row`` stepped ``update`` along column t."""
-        self.z[row] -= update * self.gram[t - 1]
+        gram = self.rows.get(t)
+        if gram is None:
+            gram = self.rows[t] = _gram_row(self.system, t)
+            gram.setflags(write=False)
+        self.z[row] -= update * gram
         size = abs(update)
         growth = self.gamma * size + _EPS * (4 * size + self.top[row] + self.norms[row])
         self.drift[row] += 2 * growth
@@ -287,9 +297,10 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
       slices of ``relaxation_block`` and of the ``_Lookahead``. Greedy
       selection reads the residual of every step, so its chunks are one
       step long. In column mode it reads A^T r, carried per lane in O(n)
-      a step through the Gram matrix (``_Correlations``), with the exact
-      gemv only where the carried vector cannot certify its argmax. No
-      chunk steps past the nearest horizon of a live lane.
+      a step through rows of the Gram matrix (``_Correlations``), each
+      built on the system the first time a run picks its column, with
+      the exact gemv only where the carried vector cannot certify its
+      argmax. No chunk steps past the nearest horizon of a live lane.
     - step (``_step``): only the iterates (and, in column mode, the
       carried residuals) move, into a chunk that stacks the (lanes, n)
       blocks of every step.

@@ -136,9 +136,9 @@ def test_carried_correlations_stay_within_the_drift_bound(monkeypatch, perturbed
     system = normalize_columns(LinearSystem(a, a @ x_true))
     gamma = n * classical._EPS / (1 - n * classical._EPS)
     if perturbed:
-        gram = classical.gram_matrix
-        shift = 0.45 * gamma * np.sign(x_true)[:, None]
-        monkeypatch.setattr(classical, "gram_matrix", lambda s: gram(s) + shift)
+        row = classical._gram_row
+        shift = 0.45 * gamma * np.sign(x_true)
+        monkeypatch.setattr(classical, "_gram_row", lambda s, t: row(s, t) + shift[t - 1])
     screen = classical._Correlations.__call__
     ratios = []
 
@@ -161,38 +161,71 @@ def test_carried_correlations_stay_within_the_drift_bound(monkeypatch, perturbed
     _assert_follows_oracle(system, x0, 1.0, report)
 
 
-def test_gram_matrix_is_built_once_per_system(monkeypatch, rng):
+@pytest.mark.parametrize("scale", [1e-155, 1e-133])
+def test_tiny_residuals_take_the_exact_gemv(monkeypatch, scale):
+    # Below ||r|| = 2^-450 (about 3.5e-136) the products may be subnormal
+    # and the screen's relative bounds fail, so every such step takes the
+    # gemv. At 1e-155 the run is below the floor from the start, and the
+    # squares in ||r|| turn subnormal; at 1e-133 it crosses the floor at
+    # step 124.
+    rng = np.random.default_rng(7)
+    n = 5
+    system = _system(rng, n)
+    system = LinearSystem(system.matrix, system.rhs * (scale / np.linalg.norm(system.rhs)),
+                          system.normalization)
+    x0 = np.zeros(n)
+    fallbacks = _count_fallbacks(monkeypatch)
+    report = classical.run_classical(system, x0, RelaxationSchedule.constant(1.0), GREEDY, 300,
+                                     "column", tol=0.0)
+    steps = report.steps_taken
+    assert steps == 300
+    _assert_follows_oracle(system, x0, 1.0, report)
+    tiny = [rec.k for rec in report.records[:-1] if rec.residual_norm < 2.0**-451]
+    assert tiny and set(tiny) <= set(fallbacks)
+    if scale == 1e-155:
+        assert fallbacks == list(range(steps))
+    else:
+        assert tiny[0] > 1 and len(fallbacks) < steps
+
+
+def test_gram_rows_are_built_once_per_system(monkeypatch, rng):
     calls = []
-    build = classical.gram_matrix
+    build = classical._gram_row
 
-    def counting(system):
-        calls.append(system)
-        return build(system)
+    def counting(system, t):
+        calls.append((system, t))
+        return build(system, t)
 
-    monkeypatch.setattr(classical, "gram_matrix", counting)
+    monkeypatch.setattr(classical, "_gram_row", counting)
     system = _system(rng, 4)
     x0 = random_unit(rng, 4)
     schedule = RelaxationSchedule.constant(0.5, QUANTUM)
-    classical.run_classical(system, x0, schedule, GREEDY, 10, "column")
+    report = classical.run_classical(system, x0, schedule, GREEDY, 10, "column")
+    picked = {rec.t for rec in report.records[1:]}
+    assert sorted(t for _, t in calls) == sorted(picked)
     branch.run_branch(system, x0, schedule, GREEDY, 10, "column")
     statevector.run_algorithm2(system, x0, schedule, GREEDY, 3)
-    # The lanes of a greedy column sweep share it.
+    # The lanes of a greedy column sweep share them.
     schedules = [RelaxationSchedule.constant(value) for value in (0.5, 1.0, 1.5)]
-    classical._drive(system, x0, schedules, GREEDY, 10, "column", 0.0)
-    assert calls == [system]
-    gram = classical._gram_of(system)
-    assert not gram.flags.writeable
-    assert gram.tobytes() == (system.matrix.T @ system.matrix).tobytes()
+    reports, _ = classical._drive(system, x0, schedules, GREEDY, 10, "column", 0.0)
+    picked |= {rec.t for report in reports for rec in report.records[1:]}
+    built = [t for _, t in calls]
+    assert len(built) == len(set(built)) == len(picked)
+    rows = classical._gram_rows(system)
+    assert all(s is system for s, _ in calls) and set(rows) == picked
+    for t, row in rows.items():
+        assert not row.flags.writeable
+        assert row.tobytes() == (system.matrix.T @ system.column(t)).tobytes()
 
     # Row runs and column runs under the rules that do not read the
-    # residual never build it.
+    # residual never build one.
     fresh = _system(rng, 4)
-    rows = normalize_rows(LinearSystem(fresh.matrix, fresh.rhs))
-    classical.run_classical(rows, x0, schedule, GREEDY, 10, "row")
-    branch.run_branch(rows, x0, schedule, GREEDY, 10, "row")
+    by_rows = normalize_rows(LinearSystem(fresh.matrix, fresh.rhs))
+    classical.run_classical(by_rows, x0, schedule, GREEDY, 10, "row")
+    branch.run_branch(by_rows, x0, schedule, GREEDY, 10, "row")
     for strategy in (SelectionStrategy.cyclic(), SelectionStrategy.random_uniform(3),
                      SelectionStrategy.explicit([2, 1, 4, 3])):
         classical.run_classical(fresh, x0, schedule, strategy, 4, "column")
         branch.run_branch(fresh, x0, schedule, strategy, 4, "column")
-    assert calls == [system]
-    assert "_gram" not in fresh.__dict__ and "_gram" not in rows.__dict__
+    assert all(s is system for s, _ in calls)
+    assert "_gram_rows" not in fresh.__dict__ and "_gram_rows" not in by_rows.__dict__
