@@ -61,7 +61,7 @@ def init_column_branch(x0, system: LinearSystem) -> BranchState:
     require_normalization(system, COLUMNS_NORMALIZED, "init_column_branch")
     x0 = _check_unit(x0, "init_column_branch")
     r0 = system.residual(x0)
-    delta = embedding_factor(float(np.linalg.norm(r0)))
+    delta = embedding_factor(float(classical._norms(r0)))
     return BranchState(np.array(x0), v=1.0, r=r0, delta=delta)
 
 

@@ -81,9 +81,10 @@ def column_step(it: ColumnIterate, system: LinearSystem, t: int, omega: float) -
 def exact_solution(system: LinearSystem):
     """Direct elimination with partial pivoting; None when singular.
 
-    The result is accepted only if ||A x - b|| <= 1e-10 * (1 + ||b||), so
+    The result is accepted only if ||A x - b|| <= 1e-10 * ||b||, so
     numerically-singular systems also report as singular instead of
-    returning garbage.
+    returning garbage, at any scale of b. With b = 0 the defect must be
+    0, as it is for x = 0, which the solve returns for any non-singular A.
     """
     try:
         x = np.linalg.solve(system.matrix, system.rhs)
@@ -91,8 +92,7 @@ def exact_solution(system: LinearSystem):
         return None
     if not np.all(np.isfinite(x)):
         return None
-    defect = np.linalg.norm(system.matrix @ x - system.rhs)
-    if defect > 1e-10 * (1.0 + np.linalg.norm(system.rhs)):
+    if _norms(system.matrix @ x - system.rhs) > 1e-10 * _norms(system.rhs):
         return None
     return x
 
@@ -159,6 +159,35 @@ def _dots(u, v):
     return np.matmul(u[..., None, :], v[..., None])[..., 0, 0]
 
 
+# A sum of squares below the smallest normal double may have lost bits
+# to underflow, and one above the largest double is inf.
+_NORMAL, _LARGEST = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+
+def _norms(u):
+    """The 2-norm of u[..., i, :] for each row i, or of a 1-D ``u``.
+
+    Where a row's sum of squares is normal and finite, its norm is the
+    root of that ``_dots`` sum, bit for bit (np.linalg.norm of the row).
+    Only the other rows are summed again, scaled by the power of two that
+    brings their largest entry into [0.5, 1): that scaling is exact, so a
+    row's norm is 0 only for a zero row and inf only for a norm above the
+    largest double or a row with an inf. As with np.linalg.norm, a plain
+    sum that overflows warns unless numpy's overflow warnings are off,
+    as they are in ``_drive``.
+    """
+    squares = _dots(u, u)
+    if squares.min() >= _NORMAL and squares.max() <= _LARGEST:
+        return np.sqrt(squares)
+    rows, flat = u.reshape(-1, u.shape[-1]), np.reshape(squares, -1)
+    redo = ~((flat >= _NORMAL) & (flat <= _LARGEST))
+    _, exponents = np.frexp(np.abs(rows[redo]).max(axis=1))
+    scaled = np.ldexp(rows[redo], -exponents[:, None])
+    norms = np.sqrt(flat)
+    norms[redo] = np.ldexp(np.sqrt(_dots(scaled, scaled)), exponents)
+    return norms.reshape(np.shape(squares))
+
+
 def _products(matrix, v, out=None):
     """matrix @ v[i] for each row i, one gemv per row; written to ``out`` if given."""
     return np.matmul(matrix, v[:, :, None], out=None if out is None else out[:, :, None])[:, :, 0]
@@ -174,8 +203,10 @@ def _products(matrix, v, out=None):
 # that of one-step chunks.
 CHUNK_BYTES = 32 * 1024
 CHUNK_STEPS = 16
-# The most indices one refill takes (see _Lookahead).
-DRAW_STEPS = 256
+# The most indices one refill takes (see _Lookahead). A block costs
+# about 120 us plus 0.12 us an index, so an index of a block of 4096
+# costs about a quarter of one of a block of 256.
+DRAW_STEPS = 4096
 
 
 class _Lookahead:
@@ -186,7 +217,9 @@ class _Lookahead:
     refilled up to step k + max(steps, min(DRAW_STEPS, k)): the first
     block is the first chunk, and later ones grow with the run. The run
     goes on past step k, so a random run draws at most
-    max(CHUNK_STEPS - 1, steps taken) indices past its last record.
+    max(CHUNK_STEPS - 1, min(steps taken, DRAW_STEPS)) indices past its
+    last record: never more than it used, nor more than 4096 (under 1 ms
+    of draws).
     """
 
     def __init__(self, strategy, n):
@@ -244,14 +277,15 @@ class _Correlations:
     def keep(self, rows):
         self.z, self.drift = self.z[rows], self.drift[rows]
 
-    def __call__(self, k, residual):
-        """The index of step k + 1 for each block row, from its residual."""
+    def __call__(self, k, residual, norms):
+        """The index of step k + 1 for each block row, from its residual
+        and the residual's norm (``_record``'s)."""
         z, rows = self.z, np.arange(len(self.z))
         magnitude = np.abs(z)
         best = np.argmax(magnitude, axis=1)
         top = magnitude[rows, best]
         magnitude[rows, best] = -1.0
-        self.norms = np.sqrt(_dots(residual, residual))
+        self.norms = norms
         gemv_error = np.where(self.norms >= _TINY, self.gamma * self.norms, math.inf)
         sure = (top - magnitude.max(axis=1) > 2 * (self.drift + gemv_error)) & (top < math.inf)
         ts = (best + 1).tolist()
@@ -305,7 +339,7 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
       carried residuals) move, into a chunk that stacks the (lanes, n)
       blocks of every step.
     - measure: one ``_products`` call gives a row-mode chunk's
-      residuals (in ``_step``), and one ``_dots`` call the norms of
+      residuals (in ``_step``), and one ``_norms`` call the norms of
       [X; R; X - x*] (in ``_record``).
     - emit (``_record``): lane by lane in step order, the records go to
       each lane's ``report_type()``. A lane's first converged record,
@@ -366,20 +400,21 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     first = 0
     ts, values = [[None] * len(lanes)], [[None]] * len(lanes)
     while True:
-        kept, failure = _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol,
-                                horizons)
+        kept, failure, residual_norms = _record(first, chunk, ts, values, x_star, lanes, reports,
+                                                trackers, tol, horizons)
         error = error if failure is None else failure
         k, last = first + len(ts) - 1, slice(-len(lanes), None)
         x, residual = chunk[0, last], chunk[1, last]
         if len(kept) < len(lanes):
             lanes, x, residual = [lanes[row] for row in kept], x[kept], residual[kept]
+            residual_norms = residual_norms[kept]
             if correlations is not None:
                 correlations.keep(kept)
         if k == max_steps or not lanes:
             break
 
         if correlations is not None:
-            ts = [correlations(k, residual)]
+            ts = [correlations(k, residual, residual_norms)]
         elif greedy:
             ts = [[select_index(strategy, k, system.n, r) for r in residual]]
         else:
@@ -438,9 +473,9 @@ def _step(mode, system, x, residual, ts, values, greedy, depth, correlations):
 def _require_finite(k, x, residual):
     """The error of a run whose iterate or residual overflowed, or None.
 
-    Called only when a record's norm is not finite; a finite vector with
-    entries above about 1e154 also has an infinite norm, so the entries
-    themselves decide.
+    Called only when a record's norm is not finite; a finite vector whose
+    norm is above the largest double also has an infinite norm, so the
+    entries themselves decide.
     """
     for name, v in (("iterate", x), ("residual", residual)):
         if not np.all(np.isfinite(v)):
@@ -452,7 +487,8 @@ def _require_finite(k, x, residual):
 
 def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, horizons):
     """Measures a chunk and emits its records; returns the block rows
-    whose lanes run on and the error of the lane that failed, or None.
+    whose lanes run on, the error of the lane that failed, or None, and
+    the residual norm of each block row after the chunk's last step.
 
     Row j * lanes + row of ``chunk[0]`` and ``chunk[1]`` is the iterate
     and residual of block row ``row`` after step first + j, made by
@@ -460,7 +496,7 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, hor
     against ``x_star`` goes to ``chunk[2]``. A lane's records run in
     step order up to its cut, found for the whole chunk with a few numpy
     calls: its first record that converged or whose norm is not finite.
-    A non-finite norm of finite vectors (entries above about 1e154) is
+    A non-finite norm of finite vectors (a norm above about 1.8e308) is
     emitted and the lane goes on; an overflow fails the lane at that
     record. A lane with no cut that reaches its horizon record
     (``horizons[lane]``, the last record of a chunk) fails there with
@@ -472,8 +508,7 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, hor
     if x_star is not None:
         np.subtract(chunk[0], x_star, out=chunk[2])
     width = len(lanes)
-    # The root of a row's dot is np.linalg.norm of that row, bit for bit.
-    norms = np.sqrt(_dots(chunk, chunk)).reshape(len(chunk), len(ts), width)
+    norms = _norms(chunk).reshape(len(chunk), len(ts), width)
     x_norms, residual_norms = norms[0], norms[1]
     stops = (residual_norms <= tol) | ~(np.isfinite(x_norms) & np.isfinite(residual_norms))
     stopped = stops.any(axis=0).tolist()
@@ -505,7 +540,7 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, hor
             except QrelaxError as exc:
                 failure = exc
         if failure is not None:
-            return kept, failure
+            return kept, failure, residual_norms[-1]
         report = reports[lane]
         report.extend(first, chosen, relaxations, x_norm, residual_norm[:end], error[:end],
                       *observed)
@@ -514,4 +549,4 @@ def _record(first, chunk, ts, values, x_star, lanes, reports, trackers, tol, hor
         else:
             report.status = CONVERGED
             report.final_x = chunk[0, cut * width + row].copy()
-    return kept, None
+    return kept, None, residual_norms[-1]

@@ -219,8 +219,10 @@ def rule_horizon(strategy: SelectionStrategy, schedule: RelaxationSchedule, doma
 # and out of it, PCG64's seeding and first XSL-RR output, and the
 # buffered 32-bit Lemire draw. The hash constants do not depend on the
 # data, so one hash runs on Python ints (one k) or on uint64 arrays (a
-# block of k), masked to 32 bits after each product; the 128-bit
-# generator runs on Python ints.
+# block of k), masked to 32 bits after each product. The 128-bit
+# generator runs on Python ints for one k (``_bounded``) and on uint64
+# arrays in 32-bit limbs for a block (``_bounded_block``), which leaves
+# to ``_bounded`` only the k whose first output is rejected twice.
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _POOL = 4  # SeedSequence's pool, in 32-bit words
@@ -231,7 +233,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_SQUARE = _PCG_MULT * _PCG_MULT & _MASK128
 _PCG_SUM = (_PCG_SQUARE + _PCG_MULT + 1) & _MASK128
-# Blocks shorter than this hash one k at a time on Python ints: a hash
+# Blocks shorter than this draw one k at a time on Python ints: a draw
 # on arrays costs about as much as 15 of them, whatever its length.
 _ARRAY_DRAWS = 16
 
@@ -268,8 +270,22 @@ def _words(value):
     return words
 
 
+@lru_cache(maxsize=None)
+def _uint64(value):
+    """``value`` as a read-only 0-d uint64 array.
+
+    Beside a small uint64 array it costs about half as much an op as a
+    Python int does, and uint64 operands keep numpy 1.x from promoting
+    to float64, as it does a uint64 scalar beside a Python int.
+    Only for constants: the cache keeps every value.
+    """
+    array = np.array(value, dtype=np.uint64)
+    array.setflags(write=False)
+    return array
+
+
 @lru_cache(maxsize=16)
-def _hash_plan(seed_words, k_length):
+def _hash_plan(seed_words, k_length, array):
     """The pool hash of seed_words + k_words, run as far as it can go
     without the ``k_length`` words of k.
 
@@ -280,6 +296,7 @@ def _hash_plan(seed_words, k_length):
     words as (position, xor, mult), and the mixing steps that touch a
     word that depends on k as (src, dst, xor, mult, hashed), where
     ``hashed`` is the hashed source word when it does not depend on k.
+    For the hash of a block (``array``) every int is a 0-d uint64 array.
     """
     length = len(seed_words) + k_length
     constants = iter(_hash_constants(0x43B0D7E5, 0x931E8875, _POOL * max(_POOL, length)))
@@ -303,30 +320,42 @@ def _hash_plan(seed_words, k_length):
             steps.append((src, dst, xor, mult, _hash(words[src], xor, mult)))
         else:
             words[dst] = _mix(words[dst], _hash(words[src], xor, mult))
+    if array:
+        # The hash constants are ``_uint64``s; the words depend on the seed.
+        words = [np.array(word, dtype=np.uint64) for word in words]
+        firsts = [(position, _uint64(xor), _uint64(mult)) for position, xor, mult in firsts]
+        steps = [(src, dst, _uint64(xor), _uint64(mult),
+                  None if hashed is None else np.array(hashed, dtype=np.uint64))
+                 for src, dst, xor, mult, hashed in steps]
     return tuple(words), tuple(firsts), tuple(steps)
 
 
 def _state_words(seed_words, k_words):
     """SeedSequence(seed_words + k_words).generate_state(4, uint64) as 8
-    uint32 words; each word of k is an int or a uint64 array."""
-    words, firsts, steps = _hash_plan(tuple(seed_words), len(k_words))
+    uint32 words; the words of k are ints, or uint64 arrays for a block."""
+    array = isinstance(k_words[0], np.ndarray)
+    words, firsts, steps = _hash_plan(tuple(seed_words), len(k_words), array)
     words = list(words)
     words[len(seed_words):len(seed_words) + len(k_words)] = k_words
+    mix_l, mix_r, mask, shift, hash_out = _MIX_L, _MIX_R, _MASK32, 16, _HASH_OUT
+    if array:
+        mix_l, mix_r, mask, shift = (_uint64(value) for value in (mix_l, mix_r, mask, shift))
+        hash_out = [(_uint64(xor), _uint64(mult)) for xor, mult in hash_out]
     # The loops below inline _hash and _mix: a call per step costs a
     # fifth of a one-k hash.
     for position, xor, mult in firsts:
-        word = (words[position] ^ xor) * mult & _MASK32
-        words[position] = word ^ word >> 16
+        word = (words[position] ^ xor) * mult & mask
+        words[position] = word ^ word >> shift
     for src, dst, xor, mult, hashed in steps:
         if hashed is None:
-            hashed = (words[src] ^ xor) * mult & _MASK32
-            hashed ^= hashed >> 16
-        word = (_MIX_L * words[dst] - _MIX_R * hashed) & _MASK32
-        words[dst] = word ^ word >> 16
+            hashed = (words[src] ^ xor) * mult & mask
+            hashed ^= hashed >> shift
+        word = (mix_l * words[dst] - mix_r * hashed) & mask
+        words[dst] = word ^ word >> shift
     state = []
-    for word, (xor, mult) in zip(words[:_POOL] * 2, _HASH_OUT):
-        word = (word ^ xor) * mult & _MASK32
-        state.append(word ^ word >> 16)
+    for word, (xor, mult) in zip(words[:_POOL] * 2, hash_out):
+        word = (word ^ xor) * mult & mask
+        state.append(word ^ word >> shift)
     return state
 
 
@@ -346,6 +375,59 @@ def _bounded(words, n, threshold):
             if product & _MASK32 >= threshold:
                 return (product >> 32) + 1
         state = (state * _PCG_MULT + inc) & _MASK128
+
+
+def _limbs(value):
+    """The four 32-bit limbs of a 128-bit int, least significant first,
+    as ``_uint64``s."""
+    return [_uint64(value >> shift & _MASK32) for shift in (0, 32, 64, 96)]
+
+
+def _bounded_block(words, n, threshold):
+    """``_bounded`` for each k of a block, from its 8 state words as
+    uint64 arrays: one XSL-RR output per k, its low half tested first,
+    then its high half. A k whose two halves are both rejected, about
+    (n / 2**32)**2 of them, takes the scalar ``_bounded``.
+
+    State words 2, 3, 0, 1 are initstate's 32-bit limbs and 6, 7, 4, 5
+    initseq's. With inc = 2 * initseq + 1, the state of the first output
+    is initstate * M^2 + initseq * 2(M^2 + M + 1) + (M^2 + M + 1) mod
+    2**128. Limb i of a factor times limb j of its multiplier adds the
+    product's low half to limb i + j of the state and its high half to
+    limb i + j + 1, so a limb sums at most 14 halves and an addend below
+    2**32 and a carry below 2**4: no sum overflows. The limbs are summed
+    one at a time, in place. Every operand is a uint64 array, 0-d for a
+    constant.
+    """
+    mask, bits, one = _uint64(_MASK32), _uint64(32), _uint64(1)
+    w0, w1, w2, w3, w4, w5, w6, w7 = words
+    factors = (((w2, w3, w0, w1), _limbs(_PCG_SQUARE)),
+               ((w6, w7, w4, w5), _limbs(2 * _PCG_SUM & _MASK128)))
+    limbs, carried = [], np.zeros_like(w0)
+    for m, addend in enumerate(_limbs(_PCG_SUM)):
+        # Limb m: the high halves and the carry of limb m - 1, then the
+        # low halves of the products i + j = m, whose high halves go on.
+        total, carried = carried + addend, np.zeros_like(carried)
+        for factor, multiplier in factors:
+            for i in range(m + 1):
+                product = factor[i] * multiplier[m - i]
+                total += product & mask
+                if m < 3:
+                    carried += product >> bits
+        limbs.append(total & mask)
+        carried += total >> bits
+    s0, s1, s2, s3 = limbs
+    mixed = (s2 ^ s0) | (s3 ^ s1) << bits  # the state's high 64 bits XOR its low 64
+    rotate = s3 >> _uint64(26)
+    # Rotation 0 shifts left by 0, not by 64: it ORs mixed into itself.
+    output = mixed >> rotate | mixed << ((_uint64(64) - rotate) & _uint64(63))
+    bound, limit = np.array(n, dtype=np.uint64), np.array(threshold, dtype=np.uint64)
+    low, high = (output & mask) * bound, (output >> bits) * bound
+    take_low = (low & mask) >= limit
+    drawn = ((np.where(take_low, low, high) >> bits) + one).tolist()
+    for lane in np.flatnonzero(~take_low & ((high & mask) < limit)).tolist():
+        drawn[lane] = _bounded([int(word[lane]) for word in words], n, threshold)
+    return drawn
 
 
 def random_indices(seed: int, first: int, count: int, n: int) -> list[int]:
@@ -368,10 +450,12 @@ def random_indices(seed: int, first: int, count: int, n: int) -> list[int]:
         end = min(stop, (k | _MASK32) + 1)
         if end - k < _ARRAY_DRAWS:
             states = (_state_words(seed_words, _words(j)) for j in range(k, end))
+            drawn += (_bounded(words, n, threshold) for words in states)
         else:
-            k_words = _words(k)
-            k_words[0] = np.arange(k_words[0], k_words[0] + end - k, dtype=np.uint64)
-            states = zip(*(words.tolist() for words in _state_words(seed_words, k_words)))
-        drawn += (_bounded(words, n, threshold) for words in states)
+            # Every word of k is an array, so no op is between two scalars.
+            low, *high = _words(k)
+            k_words = [np.arange(low, low + end - k, dtype=np.uint64)]
+            k_words += [np.full(end - k, word, dtype=np.uint64) for word in high]
+            drawn += _bounded_block(_state_words(seed_words, k_words), n, threshold)
         k = end
     return drawn

@@ -347,7 +347,7 @@ def init_column_states(x0, system: LinearSystem) -> ColumnInit:
     x_state = _initial_state(x0)
 
     r0 = system.residual(x0)
-    r0_norm = float(np.linalg.norm(r0))
+    r0_norm = float(classical._norms(r0))
     if r0_norm == 0.0:
         return ColumnInit(x_state, None, 1.0, r0, converged=True)
     delta = embedding_factor(r0_norm)

@@ -71,9 +71,10 @@ def test_the_default_cap_equals_one_step_chunks(monkeypatch):
 
 def test_a_small_run_plans_at_most_chunk_steps_past_its_end(monkeypatch):
     # At n=2 the byte cap alone allows 2048 steps per chunk. A random run
-    # draws its indices in blocks that grow with the run, so it draws at
-    # most as many indices past its end as it took steps, or one chunk:
-    # a 38-step run and a 325-step one, past the largest block.
+    # draws its indices in blocks that grow with the run up to
+    # DRAW_STEPS, so it draws at most as many indices past its end as it
+    # took steps, up to DRAW_STEPS, or one chunk: a 38-step run and a
+    # 325-step one, which with DRAW_STEPS = 64 goes past the largest block.
     draws, stepped = [], []
 
     def draw(seed, first, count, n):
@@ -87,7 +88,9 @@ def test_a_small_run_plans_at_most_chunk_steps_past_its_end(monkeypatch):
     run_step = classical._step
     monkeypatch.setattr(schedules, "random_indices", draw)
     monkeypatch.setattr(classical, "_step", step)
-    for n, tol in ((2, 1e-6), (6, 1e-14)):
+    for cap, n, tol in ((classical.DRAW_STEPS, 2, 1e-6), (classical.DRAW_STEPS, 6, 1e-14),
+                        (64, 6, 1e-14)):
+        monkeypatch.setattr(classical, "DRAW_STEPS", cap)
         system, x0 = _system("row", n=n)
         del draws[:], stepped[:]
         (report,) = classical._drive(system, x0, [RelaxationSchedule.constant(1.0)],
@@ -96,7 +99,8 @@ def test_a_small_run_plans_at_most_chunk_steps_past_its_end(monkeypatch):
         taken = report.steps_taken
         firsts, counts = zip(*draws)
         assert list(firsts) == [sum(counts[:i]) for i in range(len(counts))]
-        assert 0 <= sum(counts) - taken <= max(classical.CHUNK_STEPS - 1, taken)
+        assert max(counts) <= max(classical.CHUNK_STEPS, cap)
+        assert 0 <= sum(counts) - taken <= max(classical.CHUNK_STEPS - 1, min(taken, cap))
         assert 0 <= sum(stepped) - taken < classical.CHUNK_STEPS
 
 

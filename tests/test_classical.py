@@ -167,6 +167,17 @@ def test_exact_solution_singular_is_none():
     assert classical.exact_solution(LinearSystem(np.ones((2, 2)), np.array([1.0, 2.0]))) is None
 
 
+def test_exact_solution_defect_is_relative_to_the_rhs():
+    # A nearly singular system: at rhs (1, -1) * 1e-12 the solve leaves a
+    # defect of 12% of ||b||, which an absolute test would pass.
+    matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    for scale in (1e-12, 1e-6):
+        assert classical.exact_solution(LinearSystem(matrix, np.array([1.0, -1.0]) * scale)) is None
+    # A zero rhs asks for a zero defect, and x = 0 has it.
+    x = classical.exact_solution(LinearSystem(np.array([[2.0, 1.0], [1.0, 3.0]]), np.zeros(2)))
+    assert np.array_equal(x, np.zeros(2))
+
+
 def test_exact_solution_matches_brute_force(rng):
     for _ in range(20):
         system, _ = random_consistent(rng, 5)
@@ -294,7 +305,7 @@ def test_non_finite_iterate_names_its_step():
 
 
 def test_huge_finite_iterate_runs_on():
-    # entries above ~1e154 give an infinite norm while every entry is finite
+    # a norm above the largest double is infinite while every entry is finite
     system = LinearSystem(np.eye(2), np.array([1.5e308, 1.5e308]), ROWS_NORMALIZED)
     with np.errstate(over="ignore"):
         report = classical.run_classical(
@@ -331,3 +342,65 @@ def test_runs_reject_a_negative_max_steps(row_case, engine):
             branch.run_branch(system, x0, schedule, strategy, -1, "row")
         else:
             statevector.run_algorithm1(system, x0, schedule, strategy, -1)
+
+
+def _scaled_run(mode, scale, x0):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 6))
+    system = LinearSystem(a, a @ rng.normal(size=6) * scale)
+    system = normalize_rows(system) if mode == "row" else normalize_columns(system)
+    return classical.run_classical(system, x0 * scale, RelaxationSchedule.constant(1.0),
+                                   SelectionStrategy.random_uniform(3), 200, mode, tol=0.0)
+
+
+SCALES = {"2^-1000": 2.0**-1000, "2^-900": 2.0**-900, "1e-200": 1e-200, "2^900": 2.0**900,
+          "2^1000": 2.0**1000}
+
+
+@pytest.mark.parametrize("mode", ["row", "column"])
+@pytest.mark.parametrize("scale", SCALES.values(), ids=SCALES.keys())
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_record_norms_scale_with_the_system(mode, scale, start):
+    # The squares of entries below about 1e-162 underflow and those above
+    # about 1e154 overflow; the norms must not. With b and x0 scaled,
+    # every vector of the run scales with them, exactly so for a power
+    # of two.
+    x0 = np.zeros(6) if start == "zero" else np.random.default_rng(8).normal(size=6)
+    base, report = _scaled_run(mode, 1.0, x0), _scaled_run(mode, scale, x0)
+    assert report.status == base.status == "max-steps"
+    for field in ("x_norm", "residual_norm", "error_norm"):
+        expected = np.array([getattr(rec, field) for rec in base.records]) * scale
+        got = np.array([getattr(rec, field) for rec in report.records])
+        if math.frexp(scale)[0] == 0.5:
+            assert np.array_equal(got, expected), field
+        else:
+            assert_allclose(got, expected, rtol=1e-12, err_msg=field)
+
+
+@np.errstate(over="ignore")  # the plain sums of the large rows overflow before they are redone
+def test_norms_keep_the_dot_bits_and_rescale_the_rest(rng):
+    rows = rng.normal(size=(2, 5, 7))
+    assert np.array_equal(classical._norms(rows), np.sqrt(classical._dots(rows, rows)))
+    plain = np.sqrt(classical._dots(rows[0], rows[0]))
+    for exponent in (-1000, -600, 600, 1000):
+        assert np.array_equal(classical._norms(np.ldexp(rows[0], exponent)), np.ldexp(plain, exponent))
+    mixed = np.vstack([rows[0, :2], np.zeros(7), np.full(7, 1e300), [math.inf] + [0.0] * 6,
+                       np.ldexp(rows[0, 2], -1000)])
+    expected = np.concatenate([plain[:2], [0.0, math.sqrt(7) * 1e300, math.inf],
+                               [np.ldexp(plain[2], -1000)]])
+    assert_allclose(classical._norms(mixed), expected, rtol=1e-15)
+    assert np.array_equal(classical._norms(mixed)[:2], plain[:2])
+    assert float(classical._norms(np.array([3.0, 4.0]) * 2.0**-1070)) == 5.0 * 2.0**-1070
+
+
+@pytest.mark.parametrize("exponent", [-1000, 1000])
+def test_column_embedding_of_a_residual_at_the_extremes(exponent):
+    # r0 = (0, 2^exponent, 0): its plain sum of squares is 0 or inf (the
+    # latter with numpy's overflow warning, before the norm is redone).
+    system = LinearSystem(np.eye(3), np.array([1.0, 2.0**exponent, 0.0]), "columns-normalized")
+    x0 = np.array([1.0, 0.0, 0.0])
+    with np.errstate(over="ignore"):
+        init = statevector.init_column_states(x0, system)
+        assert branch.init_column_branch(x0, system).delta == 2.0**-exponent
+    assert not init.converged
+    assert init.delta == 2.0**-exponent

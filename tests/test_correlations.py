@@ -93,9 +93,9 @@ def _count_fallbacks(monkeypatch):
         fallbacks.append(current[0])
         return products(*args, **kwargs)
 
-    def screening(self, k, residual):
+    def screening(self, k, residual, norms):
         current[0] = k
-        return screen(self, k, residual)
+        return screen(self, k, residual, norms)
 
     monkeypatch.setattr(classical, "_products", counting)
     monkeypatch.setattr(classical._Correlations, "__call__", screening)
@@ -142,13 +142,13 @@ def test_carried_correlations_stay_within_the_drift_bound(monkeypatch, perturbed
     screen = classical._Correlations.__call__
     ratios = []
 
-    def checking(self, k, residual):
+    def checking(self, k, residual, norms):
         if k > 0:
             assert self.gamma == gamma
             (z,), (drift,), (r,) = self.z, self.drift, residual
             bound = drift + gamma * np.linalg.norm(r)
             ratios.append(np.max(np.abs(z - system.matrix.T @ r)) / bound)
-        return screen(self, k, residual)
+        return screen(self, k, residual, norms)
 
     monkeypatch.setattr(classical._Correlations, "__call__", checking)
     fallbacks = _count_fallbacks(monkeypatch)

@@ -166,6 +166,11 @@ def test_a_full_block_of_random_indices_is_numpys():
     assert random_indices(3, 1000, DRAW_STEPS, 50) == _numpy_draws(3, 1000, DRAW_STEPS, 50)
 
 
+def test_a_full_block_with_rejected_halves_is_numpys():
+    n = 3 * 2**30
+    assert random_indices(3, 1000, DRAW_STEPS, n) == _numpy_draws(3, 1000, DRAW_STEPS, n)
+
+
 def _halves_used(seed, k, n):
     """How many 32-bit halves numpy's draw took: 1 (the low half of the
     first output), 2 (its high half) or 3 (a second output)."""
@@ -186,6 +191,38 @@ def test_random_indices_follow_numpys_rejections():
     assert random_indices(seed, 0, count, n) == expected
     rejected = [k for k in range(count) if used[k] > 1]
     assert [random_indices(seed, k, 1, n)[0] for k in rejected] == [expected[k] for k in rejected]
+
+
+# The array draw's n near 2**32: 2**31 + 11 rejects about half of the
+# 32-bit halves, 3 * 2**30 a quarter and 2**32 - 1 only the half 0.
+WIDE = (2**31 + 11, 3 * 2**30, 2**32 - 1)
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_array_draws_take_the_high_half_then_the_scalar_draw(monkeypatch, n):
+    # One array block of k above 2**63: a k whose low half is rejected
+    # takes its high half, and only a k whose two halves are both
+    # rejected (numpy's draw goes on to a second output) reaches the
+    # scalar _bounded.
+    seed, first, count = 11, 2**63 + 5, 200
+    used = [_halves_used(seed, k, n) for k in range(first, first + count)]
+    if n < 2**32 - 1:
+        assert {1, 2, 3} <= set(used)
+    scalar = [random_indices(seed, k, 1, n)[0] for k in range(first, first + count)]
+    calls, bounded = [], schedules._bounded
+    monkeypatch.setattr(schedules, "_bounded", lambda *args: calls.append(args) or bounded(*args))
+    drawn = random_indices(seed, first, count, n)
+    assert drawn == _numpy_draws(seed, first, count, n) == scalar
+    assert len(calls) == used.count(3)
+
+
+@pytest.mark.parametrize("n", WIDE + (50,))
+def test_array_blocks_across_a_multiple_of_2_to_the_32(n):
+    # The block splits where the low word of k wraps; both parts are
+    # array draws.
+    first, count = 2**63 + 3 * 2**32 - 30, 60
+    assert count // 2 >= schedules._ARRAY_DRAWS
+    assert random_indices(5, first, count, n) == _numpy_draws(5, first, count, n)
 
 
 def test_select_index_draws_the_random_rule():
