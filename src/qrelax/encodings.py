@@ -87,11 +87,19 @@ def embedding_factor(r_norm: float) -> float:
     """Scale delta that embeds a residual of norm ``r_norm`` in a register.
 
     A unit (or zero) residual embeds directly with delta=1; otherwise
-    delta = 1/||r|| puts amplitude exactly 1 on the good branch.
+    delta = 1/||r|| puts amplitude exactly 1 on the good branch. A norm
+    below about 5.6e-309 (whose reciprocal overflows to inf) or an inf
+    norm (reciprocal 0) has no such delta and raises UsageError.
     """
     if r_norm == 0.0 or abs(r_norm - 1.0) <= UNIT_TOL:
         return 1.0
-    return 1.0 / r_norm
+    delta = 1.0 / r_norm
+    if delta == 0.0 or math.isinf(delta):
+        raise UsageError(
+            f"initial residual norm ||b - A x0|| = {r_norm!r} cannot be embedded: "
+            f"its reciprocal is {delta!r}"
+        )
+    return delta
 
 
 def next_denominator(

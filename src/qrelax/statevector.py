@@ -115,11 +115,11 @@ class SimState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
-    def dump(self, cutoff: float = 1e-14) -> str:
-        """Nonzero amplitudes as '(ancilla bits, data index, amplitude)' lines."""
+    def dump(self) -> str:
+        """Amplitudes above 1e-14 as '(ancilla bits, data index, amplitude)' lines."""
         m = self.layout.ancillas
         lines = []
-        for i, d in zip(*np.nonzero(np.abs(self.vec) > cutoff)):
+        for i, d in zip(*np.nonzero(np.abs(self.vec) > 1e-14)):
             bits = format(int(self.keys[i]), f"0{m}b") if m else ""
             lines.append(f"{bits} {d + 1} {float(self.vec[i, d])!r}")
         return "\n".join(lines) + "\n"
@@ -206,9 +206,8 @@ def _apply_routed(route: _Route, blocks: np.ndarray, matrix: np.ndarray) -> np.n
     return np.take(out.reshape(-1, n), route.keep, axis=0)
 
 
-def assert_normalized(state: SimState, tol: float = NORM_TOL) -> SimState:
-    drift = abs(state.norm - 1.0)
-    if drift > tol:
+def assert_normalized(state: SimState) -> SimState:
+    if abs(state.norm - 1.0) > NORM_TOL:
         raise InvariantViolation(
             f"statevector norm drifted to {state.norm!r} at k={state.k}"
         )
@@ -296,18 +295,16 @@ def prepare_Y(state: SimState, system: LinearSystem, t: int) -> SimState:
     return SimState(np.append(state.keys, 1 << m), vec, RegisterLayout(m + 1, n), state.k, state.v)
 
 
-def apply_row_iteration(state: SimState, system: LinearSystem, t: int, lam: float) -> SimState:
+def apply_row_iteration(prepared: SimState, system: LinearSystem, t: int, lam: float,
+                        mem_limit: int = DEFAULT_MEM_LIMIT) -> SimState:
     """Execute one full row iteration on a prepared superposition.
 
     SWAP(1, m-1) routes the fresh-row branch onto the |10> ancilla pair,
     the block operator turns the pair into the relaxed update, and
     parking moves the used ancillas to the front beside a fresh pair,
-    leaving a valid iterate state with 3(k+1)+2 ancillas.
+    leaving a valid iterate state with 3(k+1)+2 ancillas. Raises
+    ResourceError when the predicted peak exceeds ``mem_limit`` bytes.
     """
-    return _row_iteration(state, system, t, lam, mem_limit=None)
-
-
-def _row_iteration(prepared, system, t, lam, mem_limit):
     require_normalization(system, ROWS_NORMALIZED, "apply_row_iteration")
     k, m, n = prepared.k, prepared.layout.ancillas, prepared.layout.data_dim
     if m != ancillas(classical.ROW, k) + 1:
@@ -315,8 +312,7 @@ def _row_iteration(prepared, system, t, lam, mem_limit):
     _check_key_width(classical.ROW, k)
     operator = row_unitary(system.row(t), lam).matrix
     route = _parked(_route(_swap_keys(prepared.keys, m, 1, m - 1), _pattern(operator, 4)), m)
-    if mem_limit is not None:
-        _guard_memory(k, n, prepared.keys.size, (route,), (operator,), mem_limit)
+    _guard_memory(k, n, prepared.keys.size, (route,), (operator,), mem_limit)
     vec = _apply_routed(route, prepared.vec, operator)
     v_next = next_denominator(classical.ROW, prepared.v, system, t)
     return SimState(route.keys, vec, RegisterLayout(m + 2, n), k + 1, v_next)
@@ -340,7 +336,8 @@ def init_column_states(x0, system: LinearSystem) -> ColumnInit:
     r0 = b - A x0 is computed here. A unit r0 embeds directly (delta=1);
     otherwise delta = 1/||r0|| puts amplitude exactly 1 on the good
     branch, leaving no junk weight. A zero r0 means x0 already solves the
-    system and the residual register is not constructed.
+    system and the residual register is not constructed. An ||r0|| whose
+    reciprocal is inf or 0 raises UsageError (see ``embedding_factor``).
     """
     require_normalization(system, COLUMNS_NORMALIZED, "init_column_states")
     x0 = _check_unit(x0, "init_column_states")
@@ -375,6 +372,7 @@ def apply_column_iteration(
     t: int,
     omega: float,
     delta: float,
+    mem_limit: int = DEFAULT_MEM_LIMIT,
 ):
     """One column iteration: returns (new iterate state, new residual state).
 
@@ -382,12 +380,9 @@ def apply_column_iteration(
     a fresh ancilla pair seated next to the data register, the routing
     operator moves omega*(c_t.r) onto the partner branch, and the plane
     rotation folds it into the good branch. The residual register is
-    contracted independently by its own block operator.
+    contracted independently by its own block operator. Raises
+    ResourceError when the predicted peak exceeds ``mem_limit`` bytes.
     """
-    return _column_iteration(x_state, r_state, system, t, omega, delta, mem_limit=None)
-
-
-def _column_iteration(x_state, r_state, system, t, omega, delta, mem_limit):
     require_normalization(system, COLUMNS_NORMALIZED, "apply_column_iteration")
     k = x_state.k
     if r_state.k != k:
@@ -408,10 +403,8 @@ def _column_iteration(x_state, r_state, system, t, omega, delta, mem_limit):
     mixed = np.concatenate([_park_keys(x_state.keys, m, 0), _park_keys(r_state.keys, m, 2)])
     x_route = _route(mixed, _pattern(update, 4), np.kron(np.eye(2, dtype=bool), rotation != 0))
     r_route = _parked(_route(r_state.keys, _pattern(contraction, 4)), m)
-    if mem_limit is not None:
-        live = x_state.keys.size + r_state.keys.size
-        operators = (prep, update, rotation, contraction)
-        _guard_memory(k, n, live, (x_route, r_route), operators, mem_limit)
+    _guard_memory(k, n, x_state.keys.size + r_state.keys.size, (x_route, r_route),
+                  (prep, update, rotation, contraction), mem_limit)
 
     psi = _gather(x_route, n, x_state.vec, r_state.vec @ prep.T)
     psi[:, 0] *= beta
@@ -496,7 +489,7 @@ class _RowTracker(_Tracker):
         # Rebinding self.state drops each input as soon as its successor exists.
         self.state = assert_normalized(prepare_Y(self.state, self.system, t))
         self.state = assert_normalized(
-            _row_iteration(self.state, self.system, t, lam, self.mem_limit)
+            apply_row_iteration(self.state, self.system, t, lam, self.mem_limit)
         )
 
 
@@ -505,11 +498,14 @@ class _ColumnTracker(_Tracker):
         self.system, self.mem_limit = system, mem_limit
         init = init_column_states(x0, system)
         self.state, self.r_state, self.delta = init.x_state, init.r_state, init.delta
+        assert_normalized(self.state)
+        if self.r_state is not None:
+            assert_normalized(self.r_state)
 
     def advance(self, k: int, t: int, omega: float) -> None:
         if self.r_state is None:
             raise UsageError("x0 already solves the system; the residual register is empty")
-        self.state, self.r_state = _column_iteration(
+        self.state, self.r_state = apply_column_iteration(
             self.state, self.r_state, self.system, t, omega, self.delta, self.mem_limit
         )
         assert_normalized(self.state)

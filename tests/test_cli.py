@@ -459,6 +459,29 @@ def test_solve_non_unit_x0_names_the_flag(mode, capsys):
     )
 
 
+# From x0 = e1, ||r0|| is 1e-310 (1/||r0|| overflows to inf) and inf
+# (1/||r0|| is 0): no residual embedding delta exists for either.
+EXTREME_RESIDUAL = {"subnormal": ("1,0;0,1|1,1e-310", "1e-310"),
+                    "overflowing": ("1,0;0,1|1.5e308,1.5e308", "inf")}
+
+
+@pytest.mark.parametrize("mode", ["branch-column", "sim-column", "classical-column"])
+@pytest.mark.parametrize("system, r0_norm", EXTREME_RESIDUAL.values(),
+                         ids=EXTREME_RESIDUAL.keys())
+def test_solve_extreme_initial_residual(mode, system, r0_norm, capsys):
+    rc = cli.main([
+        "solve", "--system", system, "--format", "inline", "--mode", mode,
+        "--x0", "e1", "--steps", "3", "--tol", "0",
+    ])
+    if mode == "classical-column":
+        # The classical engine embeds nothing and solves the system.
+        assert rc == cli.EXIT_OK
+        assert "status: converged  steps: 2" in capsys.readouterr().out
+        return
+    assert rc == cli.EXIT_ERROR
+    assert f"||b - A x0|| = {r0_norm} cannot be embedded" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--grid", "0.5,1.0"]])
 def test_closed_stdout_exits_quietly(command):
     # The read end closes before the child writes, so its first write to

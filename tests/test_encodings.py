@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ def test_column_update_routes_correlation_onto_secondary_branch():
     expected_01 = omega * np.array([rotated[t - 1], 0.0])
     assert_allclose(out[n : 2 * n], expected_01, atol=1e-14)
     assert rotated[t - 1] == pytest.approx(c @ r)
+
+
+def test_embedding_factor_range():
+    # tiny_ok is the smallest norm whose reciprocal is finite.
+    tiny_bad = 5.562684646268003e-309
+    tiny_ok = math.nextafter(tiny_bad, 1.0)
+    assert enc.embedding_factor(0.0) == enc.embedding_factor(1.0) == 1.0
+    assert enc.embedding_factor(2.0**-1023) == 2.0**1023
+    assert enc.embedding_factor(tiny_ok) == 1.0 / tiny_ok < math.inf
+    assert enc.embedding_factor(sys.float_info.max) > 0.0
+    for r_norm in (tiny_bad, 1e-310, 5e-324, math.inf):
+        with pytest.raises(UsageError, match=f"= {r_norm!r} cannot be embedded"):
+            enc.embedding_factor(r_norm)
 
 
 def test_givens_worked_example_values():

@@ -330,6 +330,35 @@ def test_run_algorithm1_memory_guard(rng):
     assert err.required_bytes > 4000
 
 
+def test_public_iterations_guard_memory(row_case, column_case):
+    # Take the first step of each worked example, then give the second one
+    # a byte less than its prediction.
+    system, x0, ((t1, lam1), (t, lam)) = row_case
+    state = sv.init_row_state(x0)
+    state = sv.apply_row_iteration(sv.prepare_Y(state, system, t1), system, t1, lam1)
+    prepared = sv.prepare_Y(state, system, t)
+    with pytest.raises(ResourceError) as excinfo:
+        sv.apply_row_iteration(prepared, system, t, lam, mem_limit=0)
+    required = excinfo.value.required_bytes
+    with pytest.raises(ResourceError, match="at iteration k=1 ") as excinfo:
+        sv.apply_row_iteration(prepared, system, t, lam, mem_limit=required - 1)
+    assert excinfo.value.k == prepared.k == 1
+    assert sv.apply_row_iteration(prepared, system, t, lam, mem_limit=required).k == 2
+
+    system, x0, ((t1, omega1), (t, omega)) = column_case
+    init = sv.init_column_states(x0, system)
+    x_state, r_state = sv.apply_column_iteration(init.x_state, init.r_state, system, t1,
+                                                 omega1, init.delta)
+    args = (x_state, r_state, system, t, omega, init.delta)
+    with pytest.raises(ResourceError) as excinfo:
+        sv.apply_column_iteration(*args, mem_limit=0)
+    required = excinfo.value.required_bytes
+    with pytest.raises(ResourceError, match="at iteration k=1 ") as excinfo:
+        sv.apply_column_iteration(*args, mem_limit=required - 1)
+    assert excinfo.value.k == x_state.k == 1
+    assert sv.apply_column_iteration(*args, mem_limit=required)[0].k == 2
+
+
 def test_norm_drift_detection(row_case):
     system, x0, _ = row_case
     state = sv.init_row_state(x0)
