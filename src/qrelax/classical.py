@@ -162,6 +162,10 @@ def _dots(u, v):
 # A sum of squares below the smallest normal double may have lost bits
 # to underflow, and one above the largest double is inf.
 _NORMAL, _LARGEST = float(np.finfo(float).tiny), float(np.finfo(float).max)
+# numpy's min and max cost about a microsecond each whatever the size, and
+# a one-step chunk pays them on every step: up to this many squares are
+# range-checked as Python floats instead.
+_FEW_SQUARES = 32
 
 
 def _norms(u):
@@ -177,7 +181,11 @@ def _norms(u):
     as they are in ``_drive``.
     """
     squares = _dots(u, u)
-    if squares.min() >= _NORMAL and squares.max() <= _LARGEST:
+    if squares.size <= _FEW_SQUARES:
+        normal = all(_NORMAL <= s <= _LARGEST for s in np.ravel(squares).tolist())
+    else:
+        normal = squares.min() >= _NORMAL and squares.max() <= _LARGEST
+    if normal:
         return np.sqrt(squares)
     rows, flat = u.reshape(-1, u.shape[-1]), np.reshape(squares, -1)
     redo = ~((flat >= _NORMAL) & (flat <= _LARGEST))

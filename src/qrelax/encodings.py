@@ -113,27 +113,29 @@ def next_denominator(
     return v + 1.0 / delta
 
 
-def _reflection_grid(p: np.ndarray, value: float) -> np.ndarray:
-    """The 4x4 grid of all three 4n-by-4n operators, the column-update
-    one with its slots reordered.
+def _reflection_grid(p: np.ndarray, value: float, order=(0, 1, 2, 3)) -> np.ndarray:
+    """The 4x4 grid of all three 4n-by-4n operators; output slot i holds
+    the reflection's slot ``order[i]``.
 
     P is the rank-one projector onto the working vector. On its range the
     operator is the symmetric orthogonal 3x3 core (plus an identity
     fourth block); on the orthogonal complement it acts as
     diag(I, -I, I, I), so the whole matrix is a symmetric involution.
+    Each of the six block formulas is evaluated once and written into
+    its one or two (symmetric) places of one zero grid.
     """
     n = p.shape[0]
     eye = np.eye(n)
-    zero = np.zeros((n, n))
     coupling = math.sqrt(max(2.0 * value * (1.0 - value), 0.0))
-    return np.block(
-        [
-            [eye - value * p, coupling * p, value * p, zero],
-            [coupling * p, 2.0 * value * p - eye, -coupling * p, zero],
-            [value * p, -coupling * p, eye - value * p, zero],
-            [zero, zero, zero, eye],
-        ]
-    )
+    s0, s1, s2, s3 = (order.index(slot) for slot in range(4))
+    grid = np.zeros((4, n, 4, n))
+    grid[s0, :, s0] = grid[s2, :, s2] = eye - value * p
+    grid[s0, :, s1] = grid[s1, :, s0] = coupling * p
+    grid[s0, :, s2] = grid[s2, :, s0] = value * p
+    grid[s1, :, s1] = 2.0 * value * p - eye
+    grid[s1, :, s2] = grid[s2, :, s1] = -coupling * p
+    grid[s3, :, s3] = eye
+    return grid.reshape(4 * n, 4 * n)
 
 
 def row_unitary(a, lam: float) -> BlockUnitary:
@@ -169,8 +171,7 @@ def column_update_unitary(t: int, omega: float, n: int) -> BlockUnitary:
         raise UsageError(f"index t={t} outside 1..{n}")
     p = np.zeros((n, n))
     p[t - 1, t - 1] = 1.0
-    slots = np.r_[3 * n:4 * n, 0:n, 2 * n:3 * n, n:2 * n]
-    return BlockUnitary(_reflection_grid(p, omega)[np.ix_(slots, slots)], n, (4, 4), LABEL_W)
+    return BlockUnitary(_reflection_grid(p, omega, (3, 0, 2, 1)), n, (4, 4), LABEL_W)
 
 
 @dataclass(frozen=True)

@@ -169,14 +169,31 @@ def _route(keys: np.ndarray, *patterns: np.ndarray) -> _Route:
     with the given block patterns, applied in order on one slot grid."""
     slots = patterns[0].shape[0]
     bits = slots.bit_length() - 1
-    groups, group = np.unique(keys >> bits, return_inverse=True)
+    # Keys that share their high bits form a group, numbered in the order
+    # of those bits: one stable sort, a mask of where each group starts.
+    high = keys >> bits
+    order = np.argsort(high, kind="stable")
+    high = high[order]
+    starts = np.ones(high.size, dtype=bool)
+    np.not_equal(high[1:], high[:-1], out=starts[1:])
+    groups = high[starts]
+    del high
+    rank = np.cumsum(starts, dtype=np.intp)
+    rank -= 1
+    group = np.empty_like(rank)
+    group[order] = rank
+    del order, rank
     slot = keys & (slots - 1)
+    # reach[i, j]: input slot j feeds output slot i through all patterns.
+    # Numpy runs a bool matmul as a plain loop, so the groups take one
+    # with the composed patterns instead of one per pattern.
+    reach = patterns[0]
+    for pattern in patterns[1:]:
+        reach = pattern @ reach
     fed = np.zeros((groups.size, slots), dtype=bool)
     fed[group, slot] = True
-    for pattern in patterns:
-        fed = fed @ pattern.T
-    keep = np.flatnonzero(fed)
-    out = (groups[keep // slots] << bits) | (keep % slots)
+    keep = np.flatnonzero(fed @ reach.T)
+    out = (groups[keep >> bits] << bits) | (keep & (slots - 1))
     return _Route(group, slot, groups.size, slots, keep, out)
 
 
@@ -401,7 +418,9 @@ def apply_column_iteration(
     # |00> carries the iterate, |10> the rotated residual; the rotation on
     # the last qubit mixes slots (0, 1) and (2, 3) of each group.
     mixed = np.concatenate([_park_keys(x_state.keys, m, 0), _park_keys(r_state.keys, m, 2)])
-    x_route = _route(mixed, _pattern(update, 4), np.kron(np.eye(2, dtype=bool), rotation != 0))
+    pair = np.zeros((4, 4), dtype=bool)
+    pair[:2, :2] = pair[2:, 2:] = rotation != 0
+    x_route = _route(mixed, _pattern(update, 4), pair)
     r_route = _parked(_route(r_state.keys, _pattern(contraction, 4)), m)
     _guard_memory(k, n, x_state.keys.size + r_state.keys.size, (x_route, r_route),
                   (prep, update, rotation, contraction), mem_limit)

@@ -26,12 +26,44 @@ def manual_row_grid(a, lam):
     return np.vstack([top, second, third, last])
 
 
+def bits(matrix):
+    """The entries' bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(matrix).view(np.uint64)
+
+
 def test_row_unitary_matches_manual_assembly(rng):
     for _ in range(20):
         n = int(rng.integers(2, 6))
         a = random_unit(rng, n)
         lam = float(rng.uniform(0, 1))
-        assert_allclose(enc.row_unitary(a, lam).matrix, manual_row_grid(a, lam), atol=1e-15)
+        assert np.array_equal(bits(enc.row_unitary(a, lam).matrix), bits(manual_row_grid(a, lam)))
+
+
+def reflection_literal(p, w):
+    """The reflection grid as one np.block literal, each block by its formula."""
+    n = p.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    c = math.sqrt(2.0 * w * (1.0 - w))
+    return np.block([
+        [eye - w * p, c * p, w * p, zero],
+        [c * p, 2.0 * w * p - eye, -c * p, zero],
+        [w * p, -c * p, eye - w * p, zero],
+        [zero, zero, zero, eye],
+    ])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, "uniform"])
+def test_projection_unitaries_equal_block_literal_bit_for_bit(rng, lam):
+    for n in range(1, 7):
+        for _ in range(3):
+            w = float(rng.uniform(0, 1)) if lam == "uniform" else lam
+            a = random_unit(rng, n)
+            # zero and negative entries give the projector signed zeros
+            a[rng.random(n) < 0.3] = 0.0
+            a = a / np.linalg.norm(a) if a.any() else np.eye(n)[n - 1]
+            expected = bits(reflection_literal(np.outer(a, a), w))
+            assert np.array_equal(bits(enc.row_unitary(a, w).matrix), expected)
+            assert np.array_equal(bits(enc.column_residual_unitary(a, w).matrix), expected)
 
 
 def test_row_unitary_full_projection_has_no_couplings():
@@ -119,7 +151,7 @@ def test_column_update_unitary_half_relaxation_blocks():
 @pytest.mark.parametrize("omega", [0.0, 0.5, 1.0, "uniform"])
 def test_column_update_unitary_matches_block_literal(rng, omega):
     # the identity slot, then the reflection-grid core with slots 1 and 2 swapped
-    for n in range(1, 6):
+    for n in range(1, 7):
         for t in range(1, n + 1):
             w = float(rng.uniform(0, 1)) if omega == "uniform" else omega
             c = math.sqrt(2.0 * w * (1.0 - w))
@@ -134,7 +166,7 @@ def test_column_update_unitary_matches_block_literal(rng, omega):
             ])
             built = enc.column_update_unitary(t, w, n)
             assert (built.grid, built.block_size, built.label) == ((4, 4), n, enc.LABEL_W)
-            assert np.array_equal(built.matrix, expected)
+            assert np.array_equal(bits(built.matrix), bits(expected))
 
 
 def test_column_update_unitary_block_structure():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import dense_oracle as dense
 from dense_oracle import densify, sparsify
 from helpers import random_consistent, random_unit, unit_residual_system
-from qrelax import branch, classical, statevector as sv
+from qrelax import branch, classical, encodings as enc, statevector as sv
 from qrelax.errors import DomainError, InvariantViolation, KeyWidthError, ResourceError, UsageError
 from qrelax.report import CONVERGED, MAX_STEPS
 from qrelax.schedules import QUANTUM, RelaxationSchedule, SelectionStrategy
@@ -608,6 +608,79 @@ def test_sparse_kernels_match_dense_helpers(rng):
         order = np.argsort(keys)
         parked = sv.SimState(keys[order], state.vec[order], sv.RegisterLayout(m + 2, n), 0, 1.0)
         assert np.array_equal(densify(parked), dense._park(n, {slot: vec}))
+
+
+def _unique_route(keys, *patterns):
+    """(group, slot, rows, keep, keys) of a route, grouped by np.unique."""
+    slots = patterns[0].shape[0]
+    bits = slots.bit_length() - 1
+    groups, group = np.unique(keys >> bits, return_inverse=True)
+    slot = keys & (slots - 1)
+    fed = np.zeros((groups.size, slots), dtype=bool)
+    fed[group, slot] = True
+    for pattern in patterns:
+        fed = fed @ pattern.T
+    keep = np.flatnonzero(fed)
+    return group, slot, groups.size, keep, (groups[keep // slots] << bits) | (keep % slots)
+
+
+def _assert_route_equals(route, expected):
+    group, slot, rows, keep, keys = expected
+    assert route.rows == rows and route.slots == 4
+    for got, want in ((route.group, group), (route.slot, slot), (route.keep, keep),
+                      (route.keys, keys)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _route_patterns(n, t, omega, rng):
+    """The block patterns of the row, residual and column-update routes,
+    each checked against a != 0 scan of its blocks."""
+    column = random_unit(rng, n)
+    update = enc.column_update_unitary(t, omega, n).matrix
+    rotation = enc.givens(enc.GivensParams(0.6, 0.8)).matrix
+    patterns = {}
+    for name, matrix in (("row", enc.row_unitary(column, omega).matrix),
+                         ("residual", enc.column_residual_unitary(column, omega).matrix),
+                         ("update", update)):
+        pattern = sv._pattern(matrix, 4)
+        assert np.array_equal(pattern, np.any(matrix.reshape(4, n, 4, n) != 0, axis=(1, 3)))
+        patterns[name] = (pattern,)
+    patterns["update"] += (np.kron(np.eye(2, dtype=bool), rotation != 0),)
+    return patterns
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0])
+def test_route_groups_like_np_unique(rng, omega):
+    high = (1 << 62) - 1
+    key_sets = [
+        np.zeros(0, dtype=np.int64),
+        np.array([5], dtype=np.int64),
+        # unsorted, and several keys share each key >> 2
+        np.array([13, 4, 15, 1, 6, 12, 0, 7, 3], dtype=np.int64),
+        np.array([high, 4, high - 5, high - 2, (1 << 62) + 9, 1 << 62, 0], dtype=np.int64),
+        rng.permutation(rng.choice(1 << 12, size=200, replace=False)).astype(np.int64),
+    ]
+    for patterns in _route_patterns(3, 2, omega, rng).values():
+        for keys in key_sets:
+            _assert_route_equals(sv._route(keys, *patterns), _unique_route(keys, *patterns))
+
+
+def test_parked_routes_like_np_unique(rng):
+    m = 61
+    top = (1 << m) - 1
+    key_sets = [
+        np.zeros(0, dtype=np.int64),
+        np.array([top], dtype=np.int64),
+        np.array([top, 2, top - 6, 9, top - 3, 8, 1 << 60], dtype=np.int64),
+        rng.permutation(rng.choice(1 << 10, size=100, replace=False)).astype(np.int64),
+    ]
+    for patterns in _route_patterns(4, 3, 0.5, rng).values():
+        for keys in key_sets:
+            group, slot, rows, keep, out = _unique_route(keys, *patterns)
+            parked = sv._park_keys(out, m, 0)
+            order = np.argsort(parked)
+            _assert_route_equals(sv._parked(sv._route(keys, *patterns), m),
+                                 (group, slot, rows, keep[order], parked[order]))
 
 
 def _lockstep(direction, strategy, value, steps=5):
