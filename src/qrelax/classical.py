@@ -162,10 +162,12 @@ def _dots(u, v):
 # A sum of squares below the smallest normal double may have lost bits
 # to underflow, and one above the largest double is inf.
 _NORMAL, _LARGEST = float(np.finfo(float).tiny), float(np.finfo(float).max)
-# numpy's min and max cost about a microsecond each whatever the size, and
-# a one-step chunk pays them on every step: up to this many squares are
-# range-checked as Python floats instead.
-_FEW_SQUARES = 32
+# Up to this many squares are range-checked as Python floats: numpy's min
+# and max cost about 3.4 us together at any size, the Python check about
+# 1.4 us plus 0.08 us a square, so it is the cheaper up to 24 squares and
+# even at 27 (2-vCPU host, numpy 2.4). One-step chunks (3 squares a lane)
+# fall below, an 8-lane chunk of 2 or more steps above.
+_FEW_SQUARES = 24
 
 
 def _norms(u):

@@ -390,6 +390,10 @@ def test_norms_keep_the_dot_bits_and_rescale_the_rest(rng):
                                [np.ldexp(plain[2], -1000)]])
     assert_allclose(classical._norms(mixed), expected, rtol=1e-15)
     assert np.array_equal(classical._norms(mixed)[:2], plain[:2])
+    # Past _FEW_SQUARES rows numpy's min and max check the range instead.
+    copies = classical._FEW_SQUARES // len(mixed) + 1
+    assert np.array_equal(classical._norms(np.tile(mixed, (copies, 1))),
+                          np.tile(classical._norms(mixed), copies))
     assert float(classical._norms(np.array([3.0, 4.0]) * 2.0**-1070)) == 5.0 * 2.0**-1070
 
 
