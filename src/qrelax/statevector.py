@@ -60,7 +60,8 @@ from .system import COLUMNS_NORMALIZED, ROWS_NORMALIZED, LinearSystem, require_n
 NORM_TOL = 1e-10
 # Bytes one iteration may hold at its predicted peak: the live input
 # blocks, the gather buffer and operator output, the new blocks, their
-# int64 index arrays and the operator matrices (see _guard_memory).
+# int64 index arrays and every operator kept on the system (see
+# _guard_memory).
 DEFAULT_MEM_LIMIT = 2 * 1024**3
 _FLOAT_BYTES = 8
 # int64 words of keys and indices the guard counts beside each block row;
@@ -145,6 +146,43 @@ def _pattern(matrix: np.ndarray, slots: int) -> np.ndarray:
     """(out slot, in slot) -> whether that block of a grid operator is non-zero."""
     n = matrix.shape[0] // slots
     return np.any(matrix.reshape(slots, n, slots, n) != 0, axis=(1, 3))
+
+
+class _Operators(dict):
+    """One system's block operators by (kind, t, relaxation): each entry
+    is the tuple of read-only arrays its builder returned, matrices with
+    their block patterns. ``nbytes`` is the size of all of them."""
+
+    nbytes = 0
+
+    def get_or_build(self, key, build, *args) -> tuple:
+        """The entry for ``key``, from ``build(*args)`` the first time.
+
+        An entry is stored only after ``build`` returned, so input it
+        refuses raises the same error on every call.
+        """
+        entry = self.get(key)
+        if entry is None:
+            entry = build(*args)
+            for array in entry:
+                array.setflags(write=False)
+            self[key] = entry
+            self.nbytes += sum(array.nbytes for array in entry)
+        return entry
+
+
+def _operators(system: LinearSystem) -> _Operators:
+    """The block operators statevector iterations on ``system`` applied.
+
+    Each depends only on the frozen system, the index and the relaxation,
+    so it is built by the ``encodings`` builders the first time an
+    iteration needs it and kept on the system, as ``classical._gram_rows``
+    keeps Gram rows: a later iteration with the same (t, relaxation), in
+    this run or another, takes it with one dict lookup. The relaxation is
+    a float key, so -0.0 takes 0.0's entry; the two operators differ only
+    in the sign of zero entries.
+    """
+    return system.__dict__.setdefault("_operators", _Operators())
 
 
 @dataclass(frozen=True)
@@ -312,6 +350,12 @@ def prepare_Y(state: SimState, system: LinearSystem, t: int) -> SimState:
     return SimState(np.append(state.keys, 1 << m), vec, RegisterLayout(m + 1, n), state.k, state.v)
 
 
+def _row_operators(a: np.ndarray, lam: float) -> tuple:
+    """U(a_t, lam) and its block pattern."""
+    matrix = row_unitary(a, lam).matrix
+    return matrix, _pattern(matrix, 4)
+
+
 def apply_row_iteration(prepared: SimState, system: LinearSystem, t: int, lam: float,
                         mem_limit: int = DEFAULT_MEM_LIMIT) -> SimState:
     """Execute one full row iteration on a prepared superposition.
@@ -319,17 +363,21 @@ def apply_row_iteration(prepared: SimState, system: LinearSystem, t: int, lam: f
     SWAP(1, m-1) routes the fresh-row branch onto the |10> ancilla pair,
     the block operator turns the pair into the relaxed update, and
     parking moves the used ancillas to the front beside a fresh pair,
-    leaving a valid iterate state with 3(k+1)+2 ancillas. Raises
-    ResourceError when the predicted peak exceeds ``mem_limit`` bytes.
+    leaving a valid iterate state with 3(k+1)+2 ancillas. The operator
+    is built once per (t, lam) and kept on the system (``_operators``).
+    Raises ResourceError when the predicted peak exceeds ``mem_limit``
+    bytes.
     """
     require_normalization(system, ROWS_NORMALIZED, "apply_row_iteration")
     k, m, n = prepared.k, prepared.layout.ancillas, prepared.layout.data_dim
     if m != ancillas(classical.ROW, k) + 1:
         raise UsageError(f"prepared state at k={k} has {m} ancillas, expected 3k+3")
     _check_key_width(classical.ROW, k)
-    operator = row_unitary(system.row(t), lam).matrix
-    route = _parked(_route(_swap_keys(prepared.keys, m, 1, m - 1), _pattern(operator, 4)), m)
-    _guard_memory(k, n, prepared.keys.size, (route,), (operator,), mem_limit)
+    kept = _operators(system)
+    operator, pattern = kept.get_or_build((classical.ROW, t, lam), _row_operators,
+                                          system.row(t), lam)
+    route = _parked(_route(_swap_keys(prepared.keys, m, 1, m - 1), pattern), m)
+    _guard_memory(k, n, prepared.keys.size, (route,), kept.nbytes, mem_limit)
     vec = _apply_routed(route, prepared.vec, operator)
     v_next = next_denominator(classical.ROW, prepared.v, system, t)
     return SimState(route.keys, vec, RegisterLayout(m + 2, n), k + 1, v_next)
@@ -382,6 +430,15 @@ def column_mixing(v: float, delta: float):
     return beta, gamma
 
 
+def _column_operators(column: np.ndarray, t: int, omega: float) -> tuple:
+    """The column prep S_t, then W(t, omega) and the residual contraction,
+    each followed by its block pattern."""
+    prep = state_prep_col(column, t).matrix
+    update = column_update_unitary(t, omega, column.size).matrix
+    contraction = column_residual_unitary(column, omega).matrix
+    return prep, update, _pattern(update, 4), contraction, _pattern(contraction, 4)
+
+
 def apply_column_iteration(
     x_state: SimState,
     r_state: SimState,
@@ -397,8 +454,10 @@ def apply_column_iteration(
     a fresh ancilla pair seated next to the data register, the routing
     operator moves omega*(c_t.r) onto the partner branch, and the plane
     rotation folds it into the good branch. The residual register is
-    contracted independently by its own block operator. Raises
-    ResourceError when the predicted peak exceeds ``mem_limit`` bytes.
+    contracted independently by its own block operator. All but the
+    rotation are built once per (t, omega) and kept on the system
+    (``_operators``). Raises ResourceError when the predicted peak
+    exceeds ``mem_limit`` bytes.
     """
     require_normalization(system, COLUMNS_NORMALIZED, "apply_column_iteration")
     k = x_state.k
@@ -408,22 +467,21 @@ def apply_column_iteration(
     if not m == r_state.layout.ancillas == ancillas(classical.COLUMN, k):
         raise UsageError(f"expected 2(k+1) ancillas on both registers at k={k}")
     _check_key_width(classical.COLUMN, k)
-    column = system.column(t)
+    kept = _operators(system)
+    prep, update, update_pattern, contraction, contraction_pattern = kept.get_or_build(
+        (classical.COLUMN, t, omega), _column_operators, system.column(t), t, omega)
     beta, gamma = column_mixing(x_state.v, delta)
-    prep = state_prep_col(column, t).matrix
-    update = column_update_unitary(t, omega, n).matrix
     rotation = givens(GivensParams(beta, gamma)).matrix
-    contraction = column_residual_unitary(column, omega).matrix
 
     # |00> carries the iterate, |10> the rotated residual; the rotation on
     # the last qubit mixes slots (0, 1) and (2, 3) of each group.
     mixed = np.concatenate([_park_keys(x_state.keys, m, 0), _park_keys(r_state.keys, m, 2)])
     pair = np.zeros((4, 4), dtype=bool)
     pair[:2, :2] = pair[2:, 2:] = rotation != 0
-    x_route = _route(mixed, _pattern(update, 4), pair)
-    r_route = _parked(_route(r_state.keys, _pattern(contraction, 4)), m)
+    x_route = _route(mixed, update_pattern, pair)
+    r_route = _parked(_route(r_state.keys, contraction_pattern), m)
     _guard_memory(k, n, x_state.keys.size + r_state.keys.size, (x_route, r_route),
-                  (prep, update, rotation, contraction), mem_limit)
+                  kept.nbytes + rotation.nbytes, mem_limit)
 
     psi = _gather(x_route, n, x_state.vec, r_state.vec @ prep.T)
     psi[:, 0] *= beta
@@ -448,22 +506,24 @@ def _check_key_width(direction: str, k: int) -> None:
         raise KeyWidthError(k, width, KEY_BITS)
 
 
-def _guard_memory(k: int, n: int, live: int, routes, operators, mem_limit: int) -> None:
+def _guard_memory(k: int, n: int, live: int, routes, operator_bytes: int,
+                  mem_limit: int) -> None:
     """Raise ResourceError when one iteration's predicted peak is over the limit.
 
     Called with the routes of the iteration, before any of its new
     blocks exist. The prediction counts the ``live`` input blocks, the
     largest gather buffer twice (it coexists with the operator output)
     and the new blocks of every route, each block row with
-    ``_INDEX_WORDS`` int64 words of keys and indices beside it, plus the
-    operator matrices. A row iteration calls it after ``prepare_Y``; the
-    prepared blocks are the live input it counts either way, so the
-    prediction is the one made before the preparation.
+    ``_INDEX_WORDS`` int64 words of keys and indices beside it, plus
+    ``operator_bytes``: every operator kept on the system, this
+    iteration's among them, and a column iteration's rotation. A row
+    iteration calls it after ``prepare_Y``; the prepared blocks are the
+    live input it counts either way, so the prediction is the one made
+    before the preparation.
     """
     gather = max(route.rows * route.slots for route in routes)
     new = sum(route.keys.size for route in routes)
-    words = (live + 2 * gather + new) * (n + _INDEX_WORDS) + sum(op.size for op in operators)
-    required = words * _FLOAT_BYTES
+    required = (live + 2 * gather + new) * (n + _INDEX_WORDS) * _FLOAT_BYTES + operator_bytes
     if required > mem_limit:
         raise ResourceError(k, required, mem_limit)
 

@@ -254,7 +254,7 @@ def test_sim_trackers_over_several_chunks(monkeypatch, mode):
             for r in records] == replayed
 
 
-@pytest.mark.parametrize("mode, mem_limit", [("row", 20_000), ("column", 50_000)])
+@pytest.mark.parametrize("mode, mem_limit", [("row", 20_000), ("column", 55_000)])
 def test_a_memory_guard_trip_inside_a_chunk(monkeypatch, mode, mem_limit):
     rng = np.random.default_rng(3)
     raw = random_consistent(rng, 3)[0]
@@ -274,7 +274,7 @@ def test_a_memory_guard_trip_inside_a_chunk(monkeypatch, mode, mem_limit):
     assert text.endswith(f"over the {mem_limit}-byte limit; raise --mem-limit or reduce steps")
 
 
-@pytest.mark.parametrize("mode, mem_limit", [("row", 20_000), ("column", 50_000)])
+@pytest.mark.parametrize("mode, mem_limit", [("row", 20_000), ("column", 55_000)])
 def test_a_tracker_is_not_stepped_past_convergence(monkeypatch, mode, mem_limit):
     # The same system and guard as above: the guard trips on step 4, the
     # step to record 5, but the run converges at record 4 of the chunk

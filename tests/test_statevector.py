@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -8,7 +9,8 @@ from numpy.testing import assert_allclose
 import dense_oracle as dense
 from dense_oracle import densify, sparsify
 from helpers import random_consistent, random_unit, unit_residual_system
-from qrelax import branch, classical, encodings as enc, statevector as sv
+from qrelax import branch, classical, cli, encodings as enc, statevector as sv
+from qrelax import worked_examples
 from qrelax.errors import DomainError, InvariantViolation, KeyWidthError, ResourceError, UsageError
 from qrelax.report import CONVERGED, MAX_STEPS
 from qrelax.schedules import QUANTUM, RelaxationSchedule, SelectionStrategy
@@ -323,10 +325,14 @@ def test_run_algorithm1_memory_guard(rng):
     # Row iteration k at 0 < lam < 1 stores 3^k keys and gathers them into
     # 3^k groups; the guard counts the prepared input, the gather buffer
     # twice and the new blocks, three index words beside each n=3 block,
-    # and the 4n x 4n operator.
+    # and the operators kept on the system: cyclic selection has stepped
+    # along rows 1..k+1, one 4n x 4n matrix and its 4x4 block pattern each.
     k = err.k
+    kept = sv._operators(normed)
+    assert set(kept) == {(classical.ROW, t, 0.5) for t in range(1, k + 2)}
+    assert kept.nbytes == (k + 1) * (12 * 12 * 8 + 4 * 4)
     blocks = (3**k + 1) + 2 * 4 * 3**k + 3 ** (k + 1)
-    assert err.required_bytes == (blocks * (3 + 3) + 12 * 12) * 8
+    assert err.required_bytes == blocks * (3 + 3) * 8 + kept.nbytes
     assert err.required_bytes > 4000
 
 
@@ -862,3 +868,184 @@ def test_key_width_stops_registers_at_62_ancillas(row_case, column_case):
         else:
             with pytest.raises(ResourceError, match="key width"):
                 sv.apply_column_iteration(x_state, r_state, system, 1, 0.5, init.delta)
+
+
+# --- operators kept on the system ------------------------------------------------
+
+
+def _count_builders(monkeypatch):
+    """Wrap the builders statevector iterations call; returns the list of
+    (builder, index or vector bytes, relaxation) they are called with."""
+    calls = []
+    for name, key in (("row_unitary", lambda a, lam: (a.tobytes(), lam)),
+                      ("state_prep_col", lambda c, t: (t, None)),
+                      ("column_update_unitary", lambda t, omega, n: (t, omega)),
+                      ("column_residual_unitary", lambda c, omega: (c.tobytes(), omega))):
+        build = getattr(sv, name)
+
+        def counting(*args, name=name, key=key, build=build):
+            calls.append((name, *key(*args)))
+            return build(*args)
+
+        monkeypatch.setattr(sv, name, counting)
+    return calls
+
+
+def _built(system, keys):
+    """The builder calls that make the entries ``keys`` of ``system``."""
+    out = []
+    for kind, t, value in keys:
+        if kind == classical.ROW:
+            out.append(("row_unitary", system.row(t).tobytes(), value))
+        else:
+            out += [("state_prep_col", t, None), ("column_update_unitary", t, value),
+                    ("column_residual_unitary", system.column(t).tobytes(), value)]
+    return out
+
+
+def test_operators_are_built_once_per_system(monkeypatch, rng):
+    calls = _count_builders(monkeypatch)
+    raw = random_consistent(rng, 4)[0]
+    x0 = random_unit(rng, 4)
+    systems = {classical.ROW: normalize_rows(raw), classical.COLUMN: normalize_columns(raw)}
+    runs = {classical.ROW: sv.run_algorithm1, classical.COLUMN: sv.run_algorithm2}
+    expected = []
+    for direction, system in systems.items():
+        # Two runs whose (t, value) pairs overlap, then a sweep whose lanes
+        # share the system.
+        for strategy, value in ((SelectionStrategy.cyclic(), 0.5),
+                                (SelectionStrategy.random_uniform(9), 0.5)):
+            report = runs[direction](system, x0, RelaxationSchedule.constant(value, QUANTUM),
+                                     strategy, 5, tol=0.0)[0]
+            expected += [(direction, rec.t, rec.relaxation) for rec in report.records[1:]]
+        base = RelaxationSchedule.constant(1.0, QUANTUM)
+        monkeypatch.setattr(cli, "_prepare", lambda config, system=system: (
+            system, x0, base, SelectionStrategy.cyclic()))
+        config = cli.RunConfig("inline", mode=f"sim-{direction}", steps=4, tol=0.0)
+        assert cli.cmd_sweep(config, [0.5, 0.75, 1.0], stdout=io.StringIO()) == cli.EXIT_OK
+        expected += [(direction, t, value) for t in range(1, 5) for value in (0.5, 0.75, 1.0)]
+    for direction, system in systems.items():
+        kept = sv._operators(system)
+        assert set(kept) == {key for key in expected if key[0] == direction}
+        assert kept.nbytes == sum(array.nbytes for entry in kept.values() for array in entry)
+    want = [call for system in systems.values() for call in _built(system, sv._operators(system))]
+    assert sorted(calls, key=repr) == sorted(want, key=repr)
+
+    # Each entry is read-only and holds the builders' bits.
+    for (kind, t, value), entry in sv._operators(systems[classical.ROW]).items():
+        matrix, pattern = entry
+        assert matrix.tobytes() == enc.row_unitary(systems[kind].row(t), value).matrix.tobytes()
+        assert np.array_equal(pattern, sv._pattern(matrix, 4))
+    for (kind, t, value), entry in sv._operators(systems[classical.COLUMN]).items():
+        column = systems[kind].column(t)
+        prep, update, update_pattern, contraction, contraction_pattern = entry
+        assert prep.tobytes() == enc.state_prep_col(column, t).matrix.tobytes()
+        assert update.tobytes() == enc.column_update_unitary(t, value, 4).matrix.tobytes()
+        assert contraction.tobytes() == enc.column_residual_unitary(column, value).matrix.tobytes()
+        assert np.array_equal(update_pattern, sv._pattern(update, 4))
+        assert np.array_equal(contraction_pattern, sv._pattern(contraction, 4))
+    for system in systems.values():
+        for entry in sv._operators(system).values():
+            assert not any(array.flags.writeable for array in entry)
+
+    # Classical and branch runs build none; a fresh system builds its own.
+    schedule = RelaxationSchedule.constant(0.5, QUANTUM)
+    built = len(calls)
+    fresh = {classical.ROW: normalize_rows(raw), classical.COLUMN: normalize_columns(raw)}
+    for direction, system in fresh.items():
+        classical.run_classical(system, x0, schedule, SelectionStrategy.cyclic(), 5, direction)
+        branch.run_branch(system, x0, schedule, SelectionStrategy.cyclic(), 5, direction)
+        assert "_operators" not in system.__dict__
+    assert len(calls) == built
+    report = sv.run_algorithm1(fresh[classical.ROW], x0, schedule, SelectionStrategy.cyclic(), 2,
+                               tol=0.0)[0]
+    keys = [(classical.ROW, rec.t, 0.5) for rec in report.records[1:]]
+    assert calls[built:] == _built(fresh[classical.ROW], keys)
+    assert list(sv._operators(fresh[classical.ROW])) == keys
+
+
+@pytest.mark.parametrize("direction", [classical.ROW, classical.COLUMN])
+def test_warm_runs_equal_cold_runs(rng, direction):
+    raw = random_consistent(rng, 4)[0]
+    x0 = random_unit(rng, 4)
+    if direction == classical.ROW:
+        normalize, run = normalize_rows, sv.run_algorithm1
+    else:
+        normalize, run = normalize_columns, sv.run_algorithm2
+
+    def solve(system, value):
+        report, *states = run(system, x0, RelaxationSchedule.constant(value, QUANTUM),
+                              SelectionStrategy.random_uniform(6), 6, tol=0.0)
+        return repr(report.records), [(s.keys.tobytes(), s.vec.tobytes(), s.layout, s.k, s.v)
+                                      for s in states]
+
+    system = normalize(raw)
+    # -0.0 is in the domain and equals 0.0 as a key, so its run on
+    # ``system`` takes the entries the 0.0 run built; the fresh copy
+    # builds its own from -0.0.
+    for value in (0.5, 0.0, -0.0):
+        first = solve(system, value)
+        entries = len(sv._operators(system))
+        assert solve(system, value) == first
+        assert len(sv._operators(system)) == entries
+        assert solve(normalize(raw), value) == first
+    assert "-0.0" in first[0]
+
+
+@pytest.mark.parametrize("direction", [classical.ROW, classical.COLUMN])
+def test_a_warm_system_predicts_its_kept_operators(rng, direction):
+    raw = random_consistent(rng, 3)[0]
+    x0 = random_unit(rng, 3)
+    if direction == classical.ROW:
+        normalize, run = normalize_rows, sv.run_algorithm1
+    else:
+        normalize, run = normalize_columns, sv.run_algorithm2
+
+    def first_prediction(system):
+        with pytest.raises(ResourceError) as excinfo:
+            run(system, x0, RelaxationSchedule.constant(0.5, QUANTUM),
+                SelectionStrategy.cyclic(), 3, tol=0.0, mem_limit=1)
+        assert excinfo.value.k == 0
+        return excinfo.value.required_bytes
+
+    cold = normalize(raw)
+    cold_bytes = first_prediction(cold)
+    warm = normalize(raw)
+    run(warm, x0, RelaxationSchedule.explicit([0.25, 0.5, 1.0, 0.5], QUANTUM),
+        SelectionStrategy.explicit([2, 3, 1, 1]), 4, tol=0.0)
+    kept = sv._operators(warm).nbytes
+    assert kept > sv._operators(cold).nbytes > 0
+    assert first_prediction(warm) - cold_bytes == kept - sv._operators(cold).nbytes
+    assert sv._operators(warm).nbytes == kept
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("row_unitary", lambda build: lambda a, lam: build(a, lam / 2)),
+    ("column_update_unitary", lambda build: lambda t, omega, n: build(t, omega / 2, n)),
+    ("column_residual_unitary", lambda build: lambda c, omega: build(c, omega / 2)),
+])
+def test_a_kept_operator_never_masks_a_builder_on_another_system(monkeypatch, capsys, name,
+                                                                 mutant):
+    # Warm the worked examples' systems, then swap in a builder the worked
+    # examples catch: reproduce-paper builds fresh systems, so it fails,
+    # while the warm systems keep the operators built before the swap.
+    row_system, row_x0, row_steps = worked_examples.row_example()
+    column_system, column_x0, column_steps = worked_examples.column_example()
+
+    def step_examples():
+        state = sv.init_row_state(row_x0)
+        for t, lam in row_steps:
+            state = sv.apply_row_iteration(sv.prepare_Y(state, row_system, t), row_system, t, lam)
+        init = sv.init_column_states(column_x0, column_system)
+        x_state, r_state = init.x_state, init.r_state
+        for t, omega in column_steps:
+            x_state, r_state = sv.apply_column_iteration(x_state, r_state, column_system, t,
+                                                         omega, init.delta)
+        return [(s.keys.tobytes(), s.vec.tobytes()) for s in (state, x_state, r_state)]
+
+    warm = step_examples()
+    assert cli.cmd_reproduce_paper() == cli.EXIT_OK
+    monkeypatch.setattr(sv, name, mutant(getattr(sv, name)))
+    assert cli.cmd_reproduce_paper() == cli.EXIT_ERROR
+    assert "FAIL" in capsys.readouterr().out
+    assert step_examples() == warm
