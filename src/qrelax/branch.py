@@ -39,7 +39,7 @@ class BranchState:
 
     @property
     def amplitude(self) -> float:
-        return float(np.linalg.norm(self.x)) / self.v
+        return float(classical._norms(self.x)) / self.v
 
     @property
     def success_probability(self) -> float:
@@ -50,7 +50,7 @@ class BranchState:
     def residual_amplitude(self) -> float:
         if self.r is None:
             raise UsageError("row-mode state has no residual register")
-        return self.delta * float(np.linalg.norm(self.r))
+        return self.delta * float(classical._norms(self.r))
 
 
 def init_row_branch(x0) -> BranchState:

@@ -205,14 +205,30 @@ def _products(matrix, v, out=None):
 
 # A chunk holds as many steps as fit CHUNK_BYTES of iterates, at most
 # CHUNK_STEPS and at least one; its residuals and norms are one call
-# each. The chunk array is up to 2 or 3 times CHUNK_BYTES: iterates,
-# residuals and, with an x*, errors. The step cap bounds the steps
-# stepped past a run's last record: with the byte cap alone a one-lane
-# run at n=2 steps 2048 steps per chunk. An 8-lane sweep at n=50 ran as
-# fast at 32 KiB as at 64 KiB, and with the step cap its peak memory is
-# that of one-step chunks.
-CHUNK_BYTES = 32 * 1024
-CHUNK_STEPS = 16
+# each. The step cap bounds the waste: at most CHUNK_STEPS - 1 steps are
+# stepped past a lane's last record (with the byte cap alone a one-lane
+# run at n=2 steps 32768 steps per chunk). The byte cap bounds the
+# memory: the chunk array of iterates, residuals and, with an x*, errors
+# is at most 3 * CHUNK_BYTES, unless one step's block is larger.
+#
+# Time against 16 steps and 32 KiB, medians of 100 interleaved rounds of
+# the grid (2-vCPU host, numpy 2.4), for an 8-lane random row sweep at
+# n=50 (3,200 bytes a step) / random row runs at n=1000 / random column
+# runs at n=1000 (8,000 bytes a step):
+#
+#   steps \ KiB        32              128             256             512
+#   16          1.00/1.00/1.00  0.95/0.93/0.86  0.93/0.92/0.84  0.95/0.94/0.87
+#   32          0.95/0.99/1.01  0.85/0.93/0.85  0.86/0.92/0.81  0.84/0.92/0.80
+#   64          0.93/0.98/0.98  0.81/0.95/0.85  0.80/0.93/0.82  0.81/0.91/0.77
+#   128         0.94/1.01/1.01  0.81/0.95/0.85  0.80/0.91/0.80  0.79/0.92/0.79
+#
+# 64 steps at 512 KiB is the smallest pair within noise of the best: at
+# 32 steps the sweep takes 1.06 times as long (faster in 31 of 100 paired
+# rounds), and at 256 KiB the column runs, whose chunks hold 32 steps
+# instead of 64, take 1.06 times as long (slower in 62 of 80 paired
+# rounds).
+CHUNK_BYTES = 512 * 1024
+CHUNK_STEPS = 64
 # The most indices one refill takes (see _Lookahead). A block costs
 # about 120 us plus 0.12 us an index, so an index of a block of 4096
 # costs about a quarter of one of a block of 256.
@@ -224,22 +240,23 @@ class _Lookahead:
     iterate, from ``index_block`` in blocks; only the current block is kept.
 
     When a chunk of steps from step k runs past the block, the block is
-    refilled up to step k + max(steps, min(DRAW_STEPS, k)): the first
-    block is the first chunk, and later ones grow with the run. The run
-    goes on past step k, so a random run draws at most
-    max(CHUNK_STEPS - 1, min(steps taken, DRAW_STEPS)) indices past its
-    last record: never more than it used, nor more than 4096 (under 1 ms
-    of draws).
+    refilled up to step k + max(steps, min(DRAW_STEPS, max(k, DRAW_STEPS
+    // 8))), but not past ``max_steps``: the first block holds 512 steps
+    (the whole budget of a shorter run), and later ones grow with the
+    run. The run goes on past step k, so a random run draws at most
+    max(CHUNK_STEPS - 1, min(max(steps taken, DRAW_STEPS // 8),
+    DRAW_STEPS)) indices past its last record and none past its budget:
+    never more than 4096 (under 1 ms of draws).
     """
 
-    def __init__(self, strategy, n):
-        self.strategy, self.n, self.first, self.ts = strategy, n, 0, []
+    def __init__(self, strategy, n, max_steps):
+        self.strategy, self.n, self.max_steps, self.first, self.ts = strategy, n, max_steps, 0, []
 
     def __call__(self, k, steps):
         """The indices of steps k, ..., k + steps - 1."""
         end = self.first + len(self.ts)
         if end < k + steps:
-            stop = k + max(steps, min(DRAW_STEPS, k))
+            stop = min(self.max_steps, k + max(steps, min(DRAW_STEPS, max(k, DRAW_STEPS // 8))))
             ahead = index_block(self.strategy, end, stop - end, self.n)
             self.ts, self.first = self.ts[k - self.first:] + ahead, k
         return self.ts[k - self.first:k - self.first + steps]
@@ -358,10 +375,12 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
       failing lane emits none, since the run raises.
 
     C is the most steps whose (steps, lanes, n) iterate block fits in
-    ``CHUNK_BYTES``, at most ``CHUNK_STEPS`` and at least 1; it grows as
-    lanes leave. Every product is a BLAS call per row on the operands of
-    a one-lane, one-step run, so each lane's records and final x are
-    those of running its schedule alone, step by step, bit for bit.
+    ``CHUNK_BYTES`` (512 KiB, so the chunk array of a chunk of two or
+    more steps is at most 1.5 MiB), at most ``CHUNK_STEPS`` (64) and at
+    least 1; it grows as lanes leave. Every product is a BLAS call per
+    row on the operands of a one-lane, one-step run, so each lane's
+    records and final x are those of running its schedule alone, step by
+    step, bit for bit.
 
     A lane leaves the block when it converges or raises a QrelaxError.
     The lanes after a failed lane leave with it, and the first failed
@@ -393,7 +412,7 @@ def _drive(system, x0, schedules, strategy, max_steps, mode, tol, track=None,
     horizons = [(k, error) if k < max_steps else (math.inf, None) for k, error in horizons]
     x_star = _solution_of(system)
     greedy = strategy.variant == GREEDY_RESIDUAL
-    lookahead = None if greedy else _Lookahead(strategy, system.n)
+    lookahead = None if greedy else _Lookahead(strategy, system.n, max_steps)
     correlations = None
     if greedy and mode == COLUMN:
         correlations = _Correlations(system, strategy, len(schedules))

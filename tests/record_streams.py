@@ -19,7 +19,14 @@ the exit code. The runs are:
   {constant:0.5, constant:1.0} in the classical and branch modes, so
   column-mode greedy runs (which read A^T r) sit beside column-mode
   random and cyclic runs (which do not) at a size where that matters;
-- three sweeps.
+- three sweeps on a small system, and an 8-value random row sweep on a
+  seeded 50x50 system with singular values from 1 to 1/1.5, whose lanes
+  leave the run inside chunks of many steps.
+
+Streams are compared bit for bit only between runs on one numpy and
+OpenBLAS build with one BLAS thread count: a 1002x1002 gemv, say, can
+round differently with one BLAS thread than with two. Run both trees on
+one host with the same ``OPENBLAS_NUM_THREADS``.
 """
 
 import contextlib
@@ -124,6 +131,19 @@ def main(out):
             "--grid", grid, "--steps", "200", "--tol", "1e-8",
         ])
         count += 1
+
+    rng = np.random.default_rng(1500)
+    q1, _ = np.linalg.qr(rng.normal(size=(50, 50)))
+    q2, _ = np.linalg.qr(rng.normal(size=(50, 50)))
+    a = q1 @ np.diag(np.geomspace(1.0, 1.0 / 1.5, 50)) @ q2.T
+    path = os.path.join(inputs, "cond1.5_50.csv")
+    _write_csv(path, a, a @ rng.normal(size=50))
+    _run(out, "sweep_cond1.5_50_classical-row_random", [
+        "sweep", "--system", path, "--mode", "classical-row", "--strategy", "random",
+        "--grid", "0.6,0.8,1.0,1.2,1.3,1.4,1.6,1.8", "--steps", "200000", "--tol", "1e-3",
+        "--seed", "3",
+    ])
+    count += 1
     return count
 
 

@@ -163,6 +163,21 @@ def test_success_probability_is_the_rounded_square(mode):
             assert state.success_probability == state.amplitude * state.amplitude
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600])
+def test_amplitudes_take_the_recorded_norms_at_any_scale(scale):
+    # The squares of entries near 2^-600 underflow to 0 and those of
+    # entries near 2^600 overflow to inf; the amplitudes use the norms
+    # run_branch records (classical._norms), which do neither.
+    rng = np.random.default_rng(60)
+    x, r = scale * rng.normal(size=4), scale * rng.normal(size=4)
+    state = branch.BranchState(x, v=3.0, r=r, delta=0.25)
+    with np.errstate(over="ignore"):  # the plain sums' overflow, as in _drive
+        amplitude, residual_amplitude = state.amplitude, state.residual_amplitude
+        assert amplitude == classical._norms(x) / 3.0
+        assert residual_amplitude == 0.25 * classical._norms(r)
+    assert 0.0 < amplitude < math.inf and 0.0 < residual_amplitude < math.inf
+
+
 def test_v_closed_forms(rng):
     # row: v^2 accumulates the squared rhs entries; column with unit
     # residual: v is exactly k+1

@@ -70,11 +70,12 @@ def test_the_default_cap_equals_one_step_chunks(monkeypatch):
 
 
 def test_a_small_run_plans_at_most_chunk_steps_past_its_end(monkeypatch):
-    # At n=2 the byte cap alone allows 2048 steps per chunk. A random run
-    # draws its indices in blocks that grow with the run up to
-    # DRAW_STEPS, so it draws at most as many indices past its end as it
-    # took steps, up to DRAW_STEPS, or one chunk: a 38-step run and a
-    # 325-step one, which with DRAW_STEPS = 64 goes past the largest block.
+    # At n=2 the byte cap alone allows thousands of steps per chunk. A
+    # random run draws its indices in blocks, the first of DRAW_STEPS // 8
+    # and later ones growing with the run up to DRAW_STEPS, so it draws at
+    # most DRAW_STEPS // 8 or as many indices past its end as it took
+    # steps, up to DRAW_STEPS, or one chunk: a 38-step run and a 325-step
+    # one, which with DRAW_STEPS = 64 goes past the largest block.
     draws, stepped = [], []
 
     def draw(seed, first, count, n):
@@ -100,8 +101,35 @@ def test_a_small_run_plans_at_most_chunk_steps_past_its_end(monkeypatch):
         firsts, counts = zip(*draws)
         assert list(firsts) == [sum(counts[:i]) for i in range(len(counts))]
         assert max(counts) <= max(classical.CHUNK_STEPS, cap)
-        assert 0 <= sum(counts) - taken <= max(classical.CHUNK_STEPS - 1, min(taken, cap))
+        ahead = min(max(taken, cap // 8), cap)
+        assert 0 <= sum(counts) - taken <= max(classical.CHUNK_STEPS - 1, ahead)
         assert 0 <= sum(stepped) - taken < classical.CHUNK_STEPS
+    # Nor does it draw an index past its budget.
+    del draws[:]
+    classical._drive(system, x0, [RelaxationSchedule.constant(1.0)],
+                     SelectionStrategy.random_uniform(6), 7, "row", 0.0)
+    assert sum(count for _, count in draws) == 7
+
+
+def test_a_sweep_at_the_default_caps_retires_lanes_inside_long_chunks(monkeypatch):
+    # The shape of an 8-value random row sweep at n=50, cond 1.5, tol 1e-3.
+    rng = np.random.default_rng(3)
+    system = normalize_rows(random_consistent(rng, 50, cond=1.5)[0])
+    values = (0.6, 0.8, 1.0, 1.2, 1.3, 1.4, 1.6, 1.8)
+    run = _lanes(system, np.eye(50)[0], values, SelectionStrategy.random_uniform(3000),
+                 200_000, "row", 1e-3)
+    planned = []
+
+    def step(*args):
+        planned.append(len(args[4]))  # the plan's ts
+        return run_step(*args)
+
+    run_step = classical._step
+    monkeypatch.setattr(classical, "_step", step)
+    outcome = _same_as_one_step_chunks(monkeypatch, run, classical.CHUNK_BYTES)
+    assert max(planned) > 16
+    assert {status for status, _, _ in outcome} == {"converged"}
+    assert len({records[-1].k for _, records, _ in outcome}) >= 4
 
 
 @pytest.mark.parametrize("mode", ["row", "column"])
